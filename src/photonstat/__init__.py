@@ -14,7 +14,6 @@ from .counting import (
     correlator,
     counting_distribution,
     invert_moments,
-    moments_by_quadrature,
     moments_from_probabilities,
     photon_statistics,
 )

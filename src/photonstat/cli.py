@@ -13,12 +13,11 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .counting import photon_statistics
+from .counting import photon_statistics, verify_dual
 from .errors import ConfigError, NumericalError
 from .liouville import (
     EXCITED,
@@ -32,6 +31,7 @@ from .liouville import (
 from .sweeps import (
     DEFAULT_N_GRID,
     DEFAULT_T_GRID,
+    _run_points,
     sweep_single_line,
     sweep_two_line,
     sweep_two_line_slices,
@@ -39,8 +39,6 @@ from .sweeps import (
 from .trajectories import sample_trajectory_range
 
 __all__ = ["RunConfig", "main"]
-
-DUAL_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -163,24 +161,14 @@ def _run_trajectories(config: RunConfig, spec: DriveSpec) -> np.ndarray:
     """Histogram of monitored counts, identical for any thread count."""
     psi0 = config.initial_amplitudes()
     n = config.n_traj
-    if config.threads == 1:
-        hist, _, _ = sample_trajectory_range(spec, config.seed, 0, n, psi0=psi0)
-        return hist
     per = math.ceil(n / config.threads)
-    ranges = [(i, min(i + per, n)) for i in range(0, n, per)]
-    args = [(spec, config.seed, i0, i1, psi0) for i0, i1 in ranges]
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        pieces = list(pool.map(_traj_worker, args))
+    ranges = [(spec, config.seed, i, min(i + per, n), psi0) for i in range(0, n, per)]
+    pieces = _run_points(sample_trajectory_range, ranges, config.threads)
     width = max(len(h) for h, _, _ in pieces)
     hist = np.zeros(width, dtype=np.int64)
     for h, _, _ in pieces:
         hist[:len(h)] += h
     return hist
-
-
-def _traj_worker(args):
-    spec, seed, i0, i1, psi0 = args
-    return sample_trajectory_range(spec, seed, i0, i1, psi0=psi0)
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -200,13 +188,7 @@ def cmd_simulate(config: RunConfig) -> int:
         hist = _run_trajectories(config, spec)
 
     if stats_m is not None and stats_c is not None:
-        upto = min(len(stats_m.probabilities), len(stats_c.probabilities))
-        gap = float(np.max(np.abs(stats_m.probabilities[:upto]
-                                  - stats_c.probabilities[:upto])))
-        if gap > DUAL_TOLERANCE:
-            raise NumericalError(
-                f"moment-inversion and jump-counting disagree by {gap:.3e}"
-            )
+        verify_dual(stats_m, stats_c)
 
     header = ["n"]
     if stats_m is not None:

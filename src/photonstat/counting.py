@@ -18,10 +18,10 @@ Two independent routes produce the count distribution over the window:
   channel: ``d rho_n / dt = (L - njump) rho_n + njump rho_{n-1}``, and
   ``P_n = trace(rho_n(t_end))`` directly.
 
-Both hierarchies are block lower-bidiagonal linear systems; for square
-pulses they are integrated exactly with one matrix exponential per
-constant-drive interval. Sampled envelopes use RK4 with step-halving
-verification.
+Both hierarchies are block lower-bidiagonal linear systems, advanced by
+:func:`photonstat.propagator.advance`: exactly, with one matrix
+exponential per constant-drive interval, for square pulses, and by RK4
+with step-halving verification for sampled envelopes.
 """
 
 from __future__ import annotations
@@ -30,30 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .errors import ConvergenceError, CutoffError, NumericalError, SpecError
-from .liouville import (
-    DriveSpec,
-    build_liouvillian,
-    constant_intervals,
-    drive_coefficient,
-    jump_superop,
-    liouvillian_parts,
-    vectorize,
-)
-from .propagator import (
-    PropagatorGrid,
-    _graded_map,
-    expm_interval,
-    propagator_between,
-    segment_propagators,
-)
+from .errors import CutoffError, NumericalError, SpecError
+from .liouville import GROUND, DriveSpec, jump_superop, vectorize
+from .propagator import advance, propagator_between, validate_density
 
 __all__ = [
     "PhotonStats", "binomial_moments", "correlator", "invert_moments",
-    "counting_distribution", "moments_from_probabilities",
-    "moments_by_quadrature", "photon_statistics",
+    "counting_distribution", "moments_from_probabilities", "photon_statistics",
+    "verify_dual",
 ]
 
 # Cutoff policy: raise k until the top moment is below TAIL_TOLERANCE. The
@@ -67,6 +52,8 @@ START_CUTOFF = 4
 NEGATIVE_TOLERANCE = 1e-9
 # Completeness required of the jump-resolved distribution.
 NORMALIZATION_TOLERANCE = 1e-6
+# Componentwise agreement required between the two deterministic routes.
+DUAL_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,93 +83,18 @@ class PhotonStats:
 # ---------------------------------------------------------------------------
 # Hierarchy integration
 
-def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray, k: int) -> np.ndarray:
-    dim = 4 * (k + 1)
-    big = np.zeros((dim, dim), dtype=complex)
-    for j in range(k + 1):
-        big[4 * j:4 * j + 4, 4 * j:4 * j + 4] = diag
-        if j:
-            big[4 * j:4 * j + 4, 4 * j - 4:4 * j] = feed
-    return big
+def _initial_state(rho0) -> np.ndarray:
+    return GROUND if rho0 is None else validate_density(rho0)
 
 
-def _rk4_hierarchy(spec: DriveSpec, njump: np.ndarray, k: int, resolved: bool,
-                   y0: np.ndarray, t0: float, t1: float, n_sub: int) -> np.ndarray:
-    """RK4 pass for the stacked hierarchy over [t0, t1]; rows are levels.
-
-    Integrates in the graded variable of :func:`_graded_map`, which absorbs
-    the square-root envelope onset that would otherwise spoil fourth-order
-    convergence.
-    """
-    eps = 1e-9 * (t1 - t0)
-    feed_t = njump.T
-    static, drive = liouvillian_parts(spec.topology)
-    if resolved:
-        static = static - njump
-    static_t = static.T.copy()
-    drive_t = drive.T.copy()
-    coef = drive_coefficient(spec.topology)
-    flux = spec.pulse.flux
-    t_of_s, weight = _graded_map(spec.pulse, t0, t1)
-
-    def rhs(s, levels):
-        f = flux(min(max(t_of_s(s), t0 + eps), t1 - eps))
-        if f < 0:
-            raise SpecError(f"drive flux must be non-negative, got N_in = {f}")
-        out = levels @ (static_t + math.sqrt(coef * f) * drive_t)
-        out[1:] += levels[:-1] @ feed_t
-        return weight(s) * out
-
-    h = 1.0 / n_sub
-    y = y0
-    for i in range(n_sub):
-        s = i * h
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def _hierarchy_endpoint(spec: DriveSpec, rho0: np.ndarray, njump: np.ndarray,
+def _hierarchy_endpoint(spec: DriveSpec, rho0, njump: np.ndarray,
                         k: int, resolved: bool) -> np.ndarray:
     """Levels 0..k of the hierarchy at t_end, shape (k+1, 4)."""
-    pieces = constant_intervals(spec)
-    if pieces is not None:
-        y = np.zeros(4 * (k + 1), dtype=complex)
-        y[:4] = vectorize(rho0)
-        for lo, hi, gen in pieces:
-            diag = gen - njump if resolved else gen
-            y = expm_interval(_hierarchy_blocks(diag, njump, k), hi - lo) @ y
-        return y.reshape(k + 1, 4)
-
-    y = np.zeros((k + 1, 4), dtype=complex)
-    y[0] = vectorize(rho0)
-    edges = spec.breakpoints()
-    parts = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    y = np.zeros(4 * (k + 1), dtype=complex)
+    y[:4] = vectorize(_initial_state(rho0))
     # per-part error budget; endpoint errors propagate non-expansively
-    tol = TAIL_TOLERANCE / len(parts)
-    for a, b in parts:
-        n = max(1, int(np.ceil(
-            (b - a) * (np.linalg.norm(build_liouvillian(spec, 0.5 * (a + b)), 1) + 1.0)
-            / 0.1)))
-        coarse = _rk4_hierarchy(spec, njump, k, resolved, y, a, b, n)
-        for attempt in range(17):
-            fine = _rk4_hierarchy(spec, njump, k, resolved, y, a, b, 2 * n)
-            err = np.max(np.abs(fine - coarse))
-            if err <= tol:
-                y = fine
-                break
-            # jump toward the resolution suggested by fourth-order decay;
-            # square-root envelope onsets converge slower and re-boost
-            boost = max(2.0, min(64.0, (err / tol) ** 0.25))
-            n = int(np.ceil(n * boost))
-            coarse = _rk4_hierarchy(spec, njump, k, resolved, y, a, b, n)
-        else:
-            raise ConvergenceError(
-                "counting hierarchy did not converge under step halving")
-    return y
+    tol = TAIL_TOLERANCE / (len(spec.breakpoints()) - 1)
+    return advance(spec, y, 0.0, spec.t_end, tol, njump, resolved).reshape(k + 1, 4)
 
 
 def _level_traces(levels: np.ndarray) -> np.ndarray:
@@ -192,28 +104,31 @@ def _level_traces(levels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Public operations
 
-def binomial_moments(grid: PropagatorGrid, njump: np.ndarray, k: int) -> np.ndarray:
+def binomial_moments(spec: DriveSpec, njump: np.ndarray, k: int, rho0=None) -> np.ndarray:
     """Binomial moments 1..k of the monitored count distribution.
 
     Returns ``[N_1, ..., N_k]`` where ``N_m`` is the ordered m-fold
-    coincidence integral over the counting window.
+    coincidence integral over the counting window, starting from ``rho0``
+    (default ``|g><g|``).
     """
     if k < 1:
         raise SpecError(f"cutoff must satisfy k >= 1, got {k}")
-    levels = _hierarchy_endpoint(grid.spec, grid.rho0, njump, k, resolved=False)
+    levels = _hierarchy_endpoint(spec, rho0, njump, k, resolved=False)
     vals = _level_traces(levels)[1:]
     return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
 
 
-def counting_distribution(grid: PropagatorGrid, njump: np.ndarray, n_max: int) -> np.ndarray:
+def counting_distribution(spec: DriveSpec, njump: np.ndarray, n_max: int,
+                          rho0=None) -> np.ndarray:
     """Count probabilities ``P_0 .. P_n_max`` by jump-resolved propagation.
 
-    Raises :class:`CutoffError` when more than ``NORMALIZATION_TOLERANCE``
-    of the probability lies beyond ``n_max``.
+    Starts from ``rho0`` (default ``|g><g|``). Raises :class:`CutoffError`
+    when more than ``NORMALIZATION_TOLERANCE`` of the probability lies
+    beyond ``n_max``.
     """
     if n_max < 1:
         raise SpecError(f"cutoff must satisfy n_max >= 1, got {n_max}")
-    levels = _hierarchy_endpoint(grid.spec, grid.rho0, njump, n_max, resolved=True)
+    levels = _hierarchy_endpoint(spec, rho0, njump, n_max, resolved=True)
     probs = _clamp_probabilities(_level_traces(levels))
     missing = 1.0 - probs.sum()
     if missing > NORMALIZATION_TOLERANCE:
@@ -260,20 +175,20 @@ def moments_from_probabilities(probs, k: int) -> np.ndarray:
     ])
 
 
-def correlator(grid: PropagatorGrid, njump: np.ndarray, times) -> float:
+def correlator(spec: DriveSpec, njump: np.ndarray, times, rho0=None) -> float:
     """Time-ordered m-point intensity correlator at the given times.
 
     Evaluates ``trace(njump P(t_m, t_{m-1}) ... njump rho(t_1))`` for
-    non-decreasing times inside the window. Vanishes identically whenever
-    two times coincide, since ``njump @ njump = 0``.
+    non-decreasing times inside the window, starting from ``rho0`` (default
+    ``|g><g|``). Vanishes identically whenever two times coincide, since
+    ``njump @ njump = 0``.
     """
     times = [float(t) for t in np.atleast_1d(times)]
     if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
         raise SpecError(f"correlation times must be non-decreasing, got {times}")
-    if times[0] < 0 or times[-1] > grid.t_end:
+    if times[0] < 0 or times[-1] > spec.t_end:
         raise SpecError("correlation times must lie inside the counting window")
-    spec = grid.spec
-    v = propagator_between(spec, 0.0, times[0]) @ vectorize(grid.rho0)
+    v = propagator_between(spec, 0.0, times[0]) @ vectorize(_initial_state(rho0))
     v = njump @ v
     for t0, t1 in zip(times, times[1:]):
         v = njump @ (propagator_between(spec, t0, t1) @ v)
@@ -285,67 +200,27 @@ def correlator(grid: PropagatorGrid, njump: np.ndarray, times) -> float:
     return float(val)
 
 
-def moments_by_quadrature(grid: PropagatorGrid, njump: np.ndarray, m: int) -> float:
-    """Literal nested quadrature of the coincidence integrals, m in {1, 2}.
-
-    Discretization-limited (grid-level accuracy); retained as an
-    independent cross-check of the hierarchy values.
-    """
-    times = grid.times
-    tr_rows = njump[0, :] + njump[3, :]
-    g1 = np.array([(tr_rows @ vectorize(s)).real for s in grid.states])
-    if m == 1:
-        total = 0.0
-        edges = grid.spec.breakpoints()
-        for a, b in zip(edges, edges[1:]):
-            i0 = int(np.searchsorted(times, a))
-            i1 = int(np.searchsorted(times, b))
-            total += simpson(g1[i0:i1 + 1], x=times[i0:i1 + 1])
-        return float(total)
-    if m != 2:
-        raise SpecError("literal quadrature implemented for m <= 2 only")
-
-    n_seg = len(grid.segments)
-    carried = np.zeros((n_seg + 1, 4), dtype=complex)
-    inner = np.zeros(n_seg + 1)
-    g_prev = np.zeros(n_seg + 1)
-    for j in range(n_seg):
-        carried[j] = njump @ vectorize(grid.states[j])
-        g_prev[j] = 0.0  # equal-time coincidences vanish
-        h = times[j + 1] - times[j]
-        carried[:j + 1] = carried[:j + 1] @ grid.segments[j].T
-        g_now = (carried[:j + 1] @ tr_rows).real
-        inner[:j + 1] += 0.5 * h * (g_prev[:j + 1] + g_now)
-        g_prev[:j + 1] = g_now
-    return float(np.trapezoid(inner, times))
-
-
-def _light_grid(spec: DriveSpec, rho0) -> PropagatorGrid:
-    return segment_propagators(spec, rho0=rho0, times=np.array(spec.breakpoints()))
-
-
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
-                      k: int | None = None, rho0=None,
-                      grid: PropagatorGrid | None = None) -> PhotonStats:
+                      k: int | None = None, rho0=None) -> PhotonStats:
     """Full count statistics of the monitored channel for one run.
 
     ``method`` selects the moment-inversion or jump-counting route. With
-    ``k=None`` the cutoff starts at 4 and is raised (at most to 12) until
-    the top moment falls below 1e-8, respectively until the jump-resolved
-    distribution is complete to 1e-6; the reported ``tail_bound`` is the
-    top moment, respectively the missing probability mass.
+    ``k=None`` the cutoff starts at ``START_CUTOFF`` and is raised in steps
+    of 2, at most to ``MAX_CUTOFF``, until the top moment falls below
+    ``TAIL_TOLERANCE``, respectively until the jump-resolved distribution is
+    complete to ``NORMALIZATION_TOLERANCE``; the reported ``tail_bound`` is
+    the top moment, respectively the missing probability mass. A ``rho0``
+    other than the default ``|g><g|`` is checked by ``validate_density``.
     """
-    if grid is None:
-        grid = _light_grid(spec, rho0)
     njump = jump_superop(spec)
 
     if method == "moment-inversion":
         cutoff = k if k is not None else START_CUTOFF
-        moments = binomial_moments(grid, njump, cutoff)
+        moments = binomial_moments(spec, njump, cutoff, rho0)
         if k is None:
             while moments[-1] >= TAIL_TOLERANCE and cutoff < MAX_CUTOFF:
                 cutoff = min(cutoff + 2, MAX_CUTOFF)
-                moments = binomial_moments(grid, njump, cutoff)
+                moments = binomial_moments(spec, njump, cutoff, rho0)
         probs = invert_moments(moments)
         return PhotonStats(moments=moments, probabilities=probs, cutoff_k=cutoff,
                            tail_bound=float(moments[-1]), method=method)
@@ -354,7 +229,7 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
         cutoff = k if k is not None else START_CUTOFF
         while True:
             try:
-                probs = counting_distribution(grid, njump, cutoff)
+                probs = counting_distribution(spec, njump, cutoff, rho0)
                 break
             except CutoffError:
                 if k is not None or cutoff >= MAX_CUTOFF:
@@ -365,3 +240,16 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
                            tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
 
     raise SpecError(f"unknown method {method!r}")
+
+
+def verify_dual(moments: PhotonStats, counting: PhotonStats, where: str = "") -> None:
+    """Raise :class:`NumericalError` unless the two deterministic routes agree.
+
+    ``moments`` and ``counting`` are the moment-inversion and jump-counting
+    results at the same cutoff; their probabilities must agree
+    componentwise to ``DUAL_TOLERANCE``.
+    """
+    gap = float(np.max(np.abs(moments.probabilities - counting.probabilities)))
+    if gap > DUAL_TOLERANCE:
+        raise NumericalError(f"moment-inversion and jump-counting disagree by {gap:.3e}"
+                             + (f" at {where}" if where else ""))

@@ -18,8 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import PhotonStats, photon_statistics
-from .errors import NumericalError, SpecError
+from .counting import (
+    MAX_CUTOFF,
+    START_CUTOFF,
+    TAIL_TOLERANCE,
+    PhotonStats,
+    photon_statistics,
+    verify_dual,
+)
+from .errors import SpecError
 from .liouville import DriveSpec, SingleLine, SquarePulse, TwoLine, Topology
 
 __all__ = [
@@ -33,7 +40,6 @@ DEFAULT_T_GRID = np.logspace(math.log10(0.05), math.log10(5.0), 40)
 DEFAULT_N_GRID = np.linspace(0.0, 120.0, 120)
 DEFAULT_A_GRID = np.logspace(math.log10(0.005), 0.0, 30)
 
-DUAL_METHOD_TOLERANCE = 1e-6
 _CHECK_SEED = 20177
 # Scan cutoff; the returned record is recomputed with the adaptive cutoff.
 _SCAN_CUTOFF = 4
@@ -141,47 +147,48 @@ def _metadata(topology_name: str, k: int | None, check_fraction: float, **extra)
         "topology": topology_name,
         "window_policy": "t_end = pulse end + 12 / total decay rate",
         "cutoff_policy": f"fixed k={k}" if k is not None
-                         else "adaptive k in 4..12, top moment < 1e-8",
+                         else f"adaptive k in {START_CUTOFF}..{MAX_CUTOFF}, "
+                              f"top moment < {TAIL_TOLERANCE:g}",
         "dual_check_fraction": check_fraction,
     }
     md.update(extra)
     return md
 
 
-def _verify_dual(spec: DriveSpec, stats: PhotonStats, label: str) -> None:
-    other = photon_statistics(spec, method="jump-counting", k=stats.cutoff_k)
-    gap = float(np.max(np.abs(stats.probabilities - other.probabilities)))
-    if gap > DUAL_METHOD_TOLERANCE:
-        raise NumericalError(
-            f"moment-inversion and jump-counting disagree by {gap:.3e} at {label}"
-        )
-
-
-def _single_line_point(args) -> SweepRecord:
-    T, N, delta, k, check = args
-    spec = DriveSpec(SquarePulse(T=T, N=N), SingleLine(delta=delta))
+def _fixed_point(topology: Topology, T: float, N: float, k: int | None,
+                 check: bool) -> SweepRecord:
+    spec = _spec_for(topology, T, N)
     stats = photon_statistics(spec, k=k)
+    a = topology.a if isinstance(topology, TwoLine) else None
     if check:
-        _verify_dual(spec, stats, f"T={T:.6g}, N={N:.6g}")
-    return SweepRecord(T=T, N=N, a=None, stats=stats)
+        verify_dual(stats, photon_statistics(spec, method="jump-counting", k=stats.cutoff_k),
+                    ("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
+    return SweepRecord(T=T, N=N, a=a, stats=stats)
 
 
-def _two_line_point(args) -> SweepRecord:
-    a, T, delta, k, check = args
-    topo = TwoLine(a=a, delta=delta)
-    best = maximize_p1(topo, T, k=k)
+def _two_line_point(topology: TwoLine, T: float, k: int | None,
+                     check: bool) -> SweepRecord:
+    best = maximize_p1(topology, T, k=k)
     if check:
-        _verify_dual(_spec_for(topo, T, best.n_star), best.stats,
-                     f"a={a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
-    return SweepRecord(T=T, N=best.n_star, a=a, stats=best.stats,
+        spec = _spec_for(topology, T, best.n_star)
+        verify_dual(best.stats, photon_statistics(spec, method="jump-counting",
+                                                  k=best.stats.cutoff_k),
+                    f"a={topology.a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
+    return SweepRecord(T=T, N=best.n_star, a=topology.a, stats=best.stats,
                        n_star=best.n_star, at_boundary=best.at_boundary)
 
 
-def _run_points(worker, points, workers: int):
+def _run_points(worker, points, workers: int) -> tuple:
+    """``worker(*point)`` for every point, in order, on up to ``workers`` processes.
+
+    Results do not depend on ``workers``; ``worker`` and the points must be
+    picklable when ``workers > 1``.
+    """
     if workers > 1:
+        chunk = max(1, min(8, math.ceil(len(points) / workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(worker, points, chunksize=8))
-    return tuple(map(worker, points))
+            return tuple(pool.map(worker, *zip(*points), chunksize=chunk))
+    return tuple(worker(*point) for point in points)
 
 
 def _check_mask(n: int, fraction: float) -> np.ndarray:
@@ -203,20 +210,12 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     if np.any(T_grid <= 0) or np.any(N_grid < 0):
         raise SpecError("pulse widths must be positive and photon numbers non-negative")
     checks = _check_mask(len(T_grid) * len(N_grid), check_fraction)
-    points = [(float(T), float(N), delta, k, bool(checks[i * len(N_grid) + j]))
+    topology = SingleLine(delta=delta)
+    points = [(topology, float(T), float(N), k, bool(checks[i * len(N_grid) + j]))
               for i, T in enumerate(T_grid) for j, N in enumerate(N_grid)]
-    records = _run_points(_single_line_point, points, workers)
+    records = _run_points(_fixed_point, points, workers)
     return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records,
                        metadata=_metadata("single", k, check_fraction, delta=delta))
-
-
-def _two_line_fixed_point(args) -> SweepRecord:
-    a, T, N, delta, k, check = args
-    spec = DriveSpec(SquarePulse(T=T, N=N), TwoLine(a=a, delta=delta))
-    stats = photon_statistics(spec, k=k)
-    if check:
-        _verify_dual(spec, stats, f"a={a:.6g}, T={T:.6g}, N={N:.6g}")
-    return SweepRecord(T=T, N=N, a=a, stats=stats)
 
 
 def sweep_two_line_slices(a_values, T: float, points: int = 120, span: float = 2.0,
@@ -234,8 +233,9 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120, span: float = 2
     pts = []
     for i, a in enumerate(a_values):
         for j, N in enumerate(np.linspace(0.0, span * pi_pulse_number(T, a), points)):
-            pts.append((a, float(T), float(N), delta, k, bool(checks[i * points + j])))
-    records = _run_points(_two_line_fixed_point, pts, workers)
+            pts.append((TwoLine(a=a, delta=delta), float(T), float(N), k,
+                        bool(checks[i * points + j])))
+    records = _run_points(_fixed_point, pts, workers)
     return SweepResult(axes={"a": np.asarray(a_values), "T": np.asarray([T])},
                        records=records,
                        metadata=_metadata("two", k, check_fraction, delta=delta,
@@ -255,7 +255,8 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
     if np.any(T_grid <= 0):
         raise SpecError("pulse widths must be positive")
     checks = _check_mask(len(a_grid) * len(T_grid), check_fraction)
-    points = [(float(a), float(T), delta, k, bool(checks[i * len(T_grid) + j]))
+    points = [(TwoLine(a=float(a), delta=delta), float(T), k,
+               bool(checks[i * len(T_grid) + j]))
               for i, a in enumerate(a_grid) for j, T in enumerate(T_grid)]
     records = _run_points(_two_line_point, points, workers)
     return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records,

@@ -1,19 +1,18 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import photonstat as ps
 from conftest import random_square_spec
 from photonstat.errors import CutoffError, NumericalError, SpecError
+from photonstat.liouville import vectorize
 
 UNDRIVEN_EXCITED = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=20.0)
 PI_PULSE = ps.DriveSpec(ps.SquarePulse(T=0.1, N=np.pi**2 / 0.2))
-
-
-@pytest.fixture(scope="module")
-def excited_grid():
-    return ps.segment_propagators(UNDRIVEN_EXCITED, rho0=ps.EXCITED)
 
 
 @pytest.fixture(scope="module")
@@ -21,66 +20,110 @@ def pi_grid():
     return ps.segment_propagators(PI_PULSE)
 
 
+def moments_by_quadrature(grid: ps.PropagatorGrid, njump: np.ndarray, m: int) -> float:
+    """Literal nested quadrature of the coincidence integrals, m in {1, 2}.
+
+    Discretization-limited (grid-level accuracy); retained as an
+    independent cross-check of the hierarchy values.
+    """
+    times = grid.times
+    tr_rows = njump[0, :] + njump[3, :]
+    g1 = np.array([(tr_rows @ vectorize(s)).real for s in grid.states])
+    if m == 1:
+        total = 0.0
+        edges = grid.spec.breakpoints()
+        for a, b in zip(edges, edges[1:]):
+            i0 = int(np.searchsorted(times, a))
+            i1 = int(np.searchsorted(times, b))
+            total += simpson(g1[i0:i1 + 1], x=times[i0:i1 + 1])
+        return float(total)
+    if m != 2:
+        raise SpecError("literal quadrature implemented for m <= 2 only")
+
+    n_seg = len(grid.segments)
+    carried = np.zeros((n_seg + 1, 4), dtype=complex)
+    inner = np.zeros(n_seg + 1)
+    g_prev = np.zeros(n_seg + 1)
+    for j in range(n_seg):
+        carried[j] = njump @ vectorize(grid.states[j])
+        g_prev[j] = 0.0  # equal-time coincidences vanish
+        h = times[j + 1] - times[j]
+        carried[:j + 1] = carried[:j + 1] @ grid.segments[j].T
+        g_now = (carried[:j + 1] @ tr_rows).real
+        inner[:j + 1] += 0.5 * h * (g_prev[:j + 1] + g_now)
+        g_prev[:j + 1] = g_now
+    return float(np.trapezoid(inner, times))
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    code = "import sys, photonstat.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestBinomialMoments:
     def test_vacuum_input_gives_zero_moments(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=0.0))
-        grid = ps.segment_propagators(spec, times=np.array(spec.breakpoints()))
-        moments = ps.binomial_moments(grid, ps.jump_superop(spec), 4)
+        moments = ps.binomial_moments(spec, ps.jump_superop(spec), 4)
         assert np.all(moments == 0.0)
 
-    def test_single_excitation_gives_half_photon(self, excited_grid):
+    def test_single_excitation_gives_half_photon(self):
         nj = ps.jump_superop(UNDRIVEN_EXCITED)
-        moments = ps.binomial_moments(excited_grid, nj, 4)
+        moments = ps.binomial_moments(UNDRIVEN_EXCITED, nj, 4, rho0=ps.EXCITED)
         assert moments[0] == pytest.approx(0.5, abs=1e-6)
         assert moments[1] <= 1e-9  # one excitation can never produce a pair
 
     def test_pi_pulse_moments_vs_literal_quadrature(self, pi_grid):
         nj = ps.jump_superop(PI_PULSE)
-        moments = ps.binomial_moments(pi_grid, nj, 4)
+        moments = ps.binomial_moments(PI_PULSE, nj, 4)
         assert 0.4 < moments[0] < 0.6
         assert moments[1] < 0.01
-        n1_quad = ps.moments_by_quadrature(pi_grid, nj, 1)
-        n2_quad = ps.moments_by_quadrature(pi_grid, nj, 2)
+        n1_quad = moments_by_quadrature(pi_grid, nj, 1)
+        n2_quad = moments_by_quadrature(pi_grid, nj, 2)
         assert abs(n1_quad - moments[0]) < 1e-7
         assert abs(n2_quad - moments[1]) < 5e-6
 
-    def test_rejects_bad_cutoff(self, excited_grid):
+    def test_rejects_bad_cutoff(self):
         with pytest.raises(SpecError):
-            ps.binomial_moments(excited_grid, ps.jump_superop(UNDRIVEN_EXCITED), 0)
+            ps.binomial_moments(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), 0,
+                                rho0=ps.EXCITED)
 
 
 class TestCorrelator:
-    def test_first_order_at_zero_is_half_population(self, excited_grid):
+    def test_first_order_at_zero_is_half_population(self):
         nj = ps.jump_superop(UNDRIVEN_EXCITED)
-        assert ps.correlator(excited_grid, nj, [0.0]) == pytest.approx(0.5, abs=1e-12)
+        assert ps.correlator(UNDRIVEN_EXCITED, nj, [0.0],
+                             rho0=ps.EXCITED) == pytest.approx(0.5, abs=1e-12)
 
     def test_coincident_times_vanish(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             spec = random_square_spec(rng)
-            grid = ps.segment_propagators(spec, times=np.array(spec.breakpoints()))
             t = float(rng.uniform(0.0, spec.t_end))
             njump = ps.jump_superop(spec)
-            assert abs(ps.correlator(grid, njump, [t, t])) <= 1e-12
+            assert abs(ps.correlator(spec, njump, [t, t])) <= 1e-12
             later = float(rng.uniform(t, spec.t_end))
-            assert abs(ps.correlator(grid, njump, [t, t, later])) <= 1e-12
+            assert abs(ps.correlator(spec, njump, [t, t, later])) <= 1e-12
 
     def test_first_order_integral_equals_first_moment(self, pi_grid):
         nj = ps.jump_superop(PI_PULSE)
-        n1 = ps.binomial_moments(pi_grid, nj, 1)[0]
-        assert abs(ps.moments_by_quadrature(pi_grid, nj, 1) - n1) < 1e-8
+        n1 = ps.binomial_moments(PI_PULSE, nj, 1)[0]
+        assert abs(moments_by_quadrature(pi_grid, nj, 1) - n1) < 1e-8
 
-    def test_rejects_unsorted_times(self, excited_grid):
+    def test_rejects_unsorted_times(self):
         with pytest.raises(SpecError, match="non-decreasing"):
-            ps.correlator(excited_grid, ps.jump_superop(UNDRIVEN_EXCITED), [1.0, 0.5])
+            ps.correlator(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), [1.0, 0.5],
+                          rho0=ps.EXCITED)
 
-    def test_rejects_times_outside_window(self, excited_grid):
+    def test_rejects_times_outside_window(self):
         with pytest.raises(SpecError):
-            ps.correlator(excited_grid, ps.jump_superop(UNDRIVEN_EXCITED), [19.0, 21.0])
+            ps.correlator(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), [19.0, 21.0],
+                          rho0=ps.EXCITED)
 
-    def test_second_order_positive_for_separated_times(self, pi_grid):
+    def test_second_order_positive_for_separated_times(self):
         nj = ps.jump_superop(PI_PULSE)
-        assert ps.correlator(pi_grid, nj, [0.05, 0.3]) > 0.0
+        assert ps.correlator(PI_PULSE, nj, [0.05, 0.3]) > 0.0
 
 
 class TestInvertMoments:
@@ -113,22 +156,22 @@ class TestInvertMoments:
 
 
 class TestCountingDistribution:
-    def test_single_excitation_is_fair_coin(self, excited_grid):
-        probs = ps.counting_distribution(excited_grid, ps.jump_superop(UNDRIVEN_EXCITED), 4)
+    def test_single_excitation_is_fair_coin(self):
+        probs = ps.counting_distribution(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), 4,
+                                         rho0=ps.EXCITED)
         assert probs[0] == pytest.approx(0.5, abs=1e-6)
         assert probs[1] == pytest.approx(0.5, abs=1e-6)
         assert np.all(probs[2:] < 1e-8)
 
     def test_vacuum_input(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=0.0))
-        grid = ps.segment_propagators(spec, times=np.array(spec.breakpoints()))
-        probs = ps.counting_distribution(grid, ps.jump_superop(spec), 2)
+        probs = ps.counting_distribution(spec, ps.jump_superop(spec), 2)
         assert probs[0] == 1.0
         assert np.all(probs[1:] == 0.0)
 
-    def test_insufficient_cutoff_raises(self, pi_grid):
+    def test_insufficient_cutoff_raises(self):
         with pytest.raises(CutoffError, match="insufficient"):
-            ps.counting_distribution(pi_grid, ps.jump_superop(PI_PULSE), 1)
+            ps.counting_distribution(PI_PULSE, ps.jump_superop(PI_PULSE), 1)
 
     def test_matches_moment_inversion_on_random_specs(self):
         rng = np.random.default_rng(53)

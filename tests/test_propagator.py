@@ -59,6 +59,14 @@ class TestSegmentPropagators:
             direct = ps.propagator_between(spec, t0, t2)
             composed = ps.propagator_between(spec, t1, t2) @ ps.propagator_between(spec, t0, t1)
             assert np.max(np.abs(direct - composed)) < 1e-8
+        # a sampled span crossing every envelope knot equals the product over its parts
+        ramp = ps.DriveSpec(ps.SampledPulse((0.0, 0.05, 0.15, 0.2), (0.0, 60.0, 60.0, 0.0)))
+        t0, t2 = 0.0, 0.5
+        knots = (t0, 0.05, 0.15, 0.2, t2)
+        composed = np.eye(4)
+        for a, b in zip(knots, knots[1:]):
+            composed = ps.propagator_between(ramp, a, b) @ composed
+        assert np.max(np.abs(ps.propagator_between(ramp, t0, t2) - composed)) < 1e-9
 
     def test_grid_segment_composition(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=30.0), t_end=1.0)
