@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .counting import photon_statistics, verify_dual
+from .counting import MAX_CUTOFF, photon_statistics, verify_dual
 from .errors import ConfigError, NumericalError
 from .liouville import (
     EXCITED,
@@ -280,9 +280,13 @@ def cmd_traj(config: RunConfig) -> int:
     header = ["n", "count", "p_hat", "stderr"]
     ref = None
     if config.compare:
-        k_cmp = config.k if config.k is not None else min(12, max(4, len(hist) - 1))
-        stats = photon_statistics(spec, "jump-counting", k=k_cmp,
-                                  rho0=config.initial_density())
+        rho0 = config.initial_density()
+        stats = photon_statistics(spec, "jump-counting", k=config.k, rho0=rho0)
+        # without --k the reference covers the adaptive cutoff and every
+        # observed bin, up to MAX_CUTOFF
+        widest = min(len(hist) - 1, MAX_CUTOFF)
+        if config.k is None and widest > stats.cutoff_k:
+            stats = photon_statistics(spec, "jump-counting", k=widest, rho0=rho0)
         ref = stats.probabilities
         header += ["p_counting", "z"]
     header += ["seed"]

@@ -70,7 +70,7 @@ def _restore(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=32)
 def _expm_cached(key: bytes, dim: int, dt: float) -> np.ndarray:
     gen = np.frombuffer(key, dtype=complex).reshape(dim, dim)
     out = expm(gen * dt)

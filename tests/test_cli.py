@@ -180,6 +180,27 @@ class TestTraj:
         for row in rows[:2]:
             assert abs(float(row[header.index("z")])) < 5.0
 
+    def test_compare_reference_uses_adaptive_cutoff(self, tmp_path):
+        # 200 trajectories reach n=5 only, but the distribution needs k=10
+        out = tmp_path / "c.csv"
+        rc = main(["traj", "--T", "5", "--N", "120", "--n-traj", "200", "--seed", "1",
+                   "--compare", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert sum(int(r[1]) for r in rows) == 200
+
+    def test_negative_seed_exits_2(self, capsys):
+        rc = main(["traj", "--T", "0.1", "--N", "1", "--n-traj", "10", "--seed", "-3"])
+        assert rc == 2
+        assert "-3" in capsys.readouterr().err
+
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.1, "N": 1.0, "n_traj": 10, "seed": 1.5}))
+        rc = main(["traj", "--config", str(cfg)])
+        assert rc == 2
+        assert "1.5" in capsys.readouterr().err
+
     def test_json_carries_config_echo(self, tmp_path):
         out = tmp_path / "t.json"
         main(["traj", "--T", "0.1", "--N", "1", "--n-traj", "500", "--seed", "2",

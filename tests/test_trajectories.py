@@ -4,10 +4,12 @@ from scipy.linalg import expm
 
 import photonstat as ps
 from photonstat.errors import SpecError
-from photonstat.trajectories import _StepGen
+from photonstat.trajectories import _Piece, _Streams
 
 UNDRIVEN_EXCITED = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=20.0)
 PI_PULSE = ps.DriveSpec(ps.SquarePulse(T=0.1, N=np.pi**2 / 0.2))
+RAMP = ps.DriveSpec(ps.SampledPulse((0, .05, .15, .2), (0, 60, 60, 0)))
+STEP_EDGE = ps.DriveSpec(ps.SampledPulse((0, .1), (50, 50)))
 N_TRAJ = 20000
 
 
@@ -16,20 +18,75 @@ def excited_run():
     return ps.sample_trajectories(UNDRIVEN_EXCITED, N_TRAJ, seed=7, psi0=(0.0, 1.0))
 
 
-class TestStepGenerator:
+@pytest.fixture(scope="module")
+def ramp_run():
+    return ps.sample_trajectories(RAMP, N_TRAJ, seed=3)
+
+
+def assert_within_3_sigma(res, spec):
+    ref = ps.photon_statistics(spec).probabilities
+    p = res.counts / res.n_traj
+    for n in range(max(len(p), len(ref))):
+        p_obs = p[n] if n < len(p) else 0.0
+        p_ref = ref[n] if n < len(ref) else 0.0
+        se = np.sqrt(max(p_ref * (1 - p_ref), 1e-12) / res.n_traj)
+        assert abs(p_obs - p_ref) < 3 * se, f"bin {n}: {p_obs} vs {p_ref}"
+
+
+class TestPiecePropagator:
     def test_closed_form_matches_scipy_expm(self):
         rng = np.random.default_rng(3)
         for _ in range(8):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            s = float(rng.uniform(0.01, 0.5))
-            gen = _StepGen(h, s, rate=1.0, driven=True)
-            u = np.array([[gen.u00, gen.u01], [gen.u10, gen.u11]])
-            assert np.max(np.abs(u - expm(-1j * h * s))) < 1e-12
+            s = rng.uniform(0.01, 0.5, size=3)
+            piece = _Piece(h, float(s[0]), rate=1.0, driven=True)
+            u = np.array(piece.matrix(s)).reshape(2, 2, -1)
+            for j in range(len(s)):
+                assert np.max(np.abs(u[..., j] - expm(-1j * h * s[j]))) < 1e-12
+            assert np.max(np.abs(np.reshape(piece.full, (2, 2))
+                                 - expm(-1j * h * s[0]))) < 1e-12
 
-    def test_small_angle_branch(self):
-        gen = _StepGen(np.zeros((2, 2), complex), 1e-10, rate=1.0, driven=False)
-        u = np.array([[gen.u00, gen.u01], [gen.u10, gen.u11]])
-        assert np.allclose(u, np.eye(2), atol=1e-12)
+    def test_exceptional_point(self):
+        # drive amplitude R/4 on resonance: the traceless part is nilpotent, q = 0
+        h = np.array([[0.0, 0.25], [0.25, -0.5j]])
+        piece = _Piece(h, 5.0, rate=1.0, driven=True)
+        assert piece.q == 0
+        s = np.array([1e-10, 0.1, 1.0, 5.0])
+        u = np.array(piece.matrix(s)).reshape(2, 2, -1)
+        for j in range(len(s)):
+            assert np.max(np.abs(u[..., j] - expm(-1j * h * s[j]))) < 1e-12
+        zero = _Piece(np.zeros((2, 2), complex), 1e-10, rate=1.0, driven=False)
+        assert np.allclose(np.reshape(zero.full, (2, 2)), np.eye(2), atol=1e-12)
+
+    def test_crossing_solves_norm_equation(self):
+        rng = np.random.default_rng(5)
+        h = ps.effective_hamiltonian(PI_PULSE, 0.05)
+        piece = _Piece(h, 0.1, rate=1.0, driven=True)
+        g = np.ones(200, dtype=complex)
+        e = np.zeros(200, dtype=complex)
+        u00, _, u10, _ = piece.full
+        n_end = abs(u00) ** 2 + abs(u10) ** 2
+        thr = rng.uniform(n_end, 1.0, size=200)
+        span = np.full(200, 0.1)
+        s = piece.crossing(span, g, e, thr, np.full(200, n_end))
+        assert np.all((s > 0) & (s < 0.1))
+        c0, _, c1, _ = piece.matrix(s)
+        assert np.max(np.abs(abs(c0) ** 2 + abs(c1) ** 2 - thr)) < 1e-12
+
+
+class TestStreams:
+    def test_matches_numpy_generators(self):
+        # entropy beyond the four-word pool and indices of two 32-bit words
+        # take separate paths through SeedSequence
+        seeds = [0, 7, 2**31 - 1, 2**32 + 5, 2**100 + 11]
+        index = [0, 1, 999, 2**32 - 1, 2**32 + 1]
+        for seed in seeds:
+            streams = _Streams(seed, np.array(index, dtype=np.uint64))
+            rows = np.arange(len(index))
+            draws = np.array([streams.next(rows) for _ in range(5)]).T
+            for i, got in zip(index, draws):
+                assert np.array_equal(got, np.random.default_rng([seed, i]).random(5)), \
+                    (seed, i)
 
 
 class TestSampling:
@@ -71,6 +128,12 @@ class TestSampling:
             se = np.sqrt(max(p_ref * (1 - p_ref), 1e-12) / res.n_traj)
             assert abs(p[n] - p_ref) < 3 * se + 2 / res.n_traj
 
+    def test_sampled_ramp_matches_moments_within_3_sigma(self, ramp_run):
+        assert_within_3_sigma(ramp_run, RAMP)
+
+    def test_sampled_step_edge_matches_moments_within_3_sigma(self):
+        assert_within_3_sigma(ps.sample_trajectories(STEP_EDGE, N_TRAJ, seed=4), STEP_EDGE)
+
     def test_two_line_monitored_fraction(self):
         a = 0.25
         spec = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), ps.TwoLine(a=a), t_end=15.0)
@@ -109,6 +172,26 @@ class TestReproducibility:
         assert not np.array_equal(a.counts, b.counts)
 
 
+class TestPinnedHistograms:
+    """Histograms and channel totals frozen from the fixed-step sampler."""
+
+    def test_pi_pulse(self):
+        res = ps.sample_trajectories(PI_PULSE, 3000, seed=42)
+        assert res.counts.tolist() == [1524, 1465, 11]
+        assert res.per_channel_totals == {"left": 1487 / 3000, "right": 1551 / 3000}
+
+    def test_two_line_from_excited(self):
+        spec = ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0), ps.TwoLine(a=0.3))
+        res = ps.sample_trajectories(spec, 3000, seed=5, psi0=(0.0, 1.0))
+        assert res.counts.tolist() == [2085, 602, 309, 4]
+        assert res.per_channel_totals == {"strong": 1232 / 3000, "weak": 369 / 3000}
+
+    def test_sampled_ramp(self, ramp_run):
+        assert ramp_run.counts.tolist() == [13790, 6187, 23]
+        assert ramp_run.per_channel_totals == {"left": 6233 / N_TRAJ,
+                                               "right": 6181 / N_TRAJ}
+
+
 class TestValidation:
     def test_rejects_empty_run(self):
         with pytest.raises(SpecError):
@@ -121,3 +204,8 @@ class TestValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(SpecError):
             ps.sample_trajectories(PI_PULSE, 10, seed=1, psi0=(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(SpecError, match=str(seed)):
+            ps.sample_trajectory_range(PI_PULSE, seed, 0, 10)
