@@ -15,6 +15,7 @@ from .counting import (
     counting_distribution,
     invert_moments,
     moments_from_probabilities,
+    one_photon_probability,
     photon_statistics,
 )
 from .errors import (

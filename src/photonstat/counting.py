@@ -32,13 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, NumericalError, SpecError
-from .liouville import GROUND, DriveSpec, jump_superop, vectorize
-from .propagator import advance, propagator_between, validate_density
+from .liouville import (
+    GROUND,
+    DriveSpec,
+    SquarePulse,
+    Topology,
+    drive_coefficient,
+    jump_superop,
+    liouvillian_parts,
+    vectorize,
+)
+from .propagator import advance, hierarchy_exponential, propagator_between, validate_density
 
 __all__ = [
     "PhotonStats", "binomial_moments", "correlator", "invert_moments",
     "counting_distribution", "moments_from_probabilities", "photon_statistics",
-    "verify_dual",
+    "one_photon_probability", "verify_dual",
 ]
 
 # Cutoff policy: raise k until the top moment is below TAIL_TOLERANCE. The
@@ -198,6 +207,33 @@ def correlator(spec: DriveSpec, njump: np.ndarray, times, rho0=None) -> float:
     if val < -1e-12:
         raise NumericalError(f"correlator value {val:.3e} below -1e-12")
     return float(val)
+
+
+def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.ndarray:
+    """Exact ``P_1`` of square pulses of width ``T`` at every photon number.
+
+    Starts from ``|g><g|`` and counts over the default window. Level 1 of
+    the jump-resolved hierarchy depends only on level 0, so ``P_1 = trace
+    rho_1(t_end)`` follows with no cutoff from the 8x8 block generator
+    ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for integrals of
+    matrix exponentials). The drive intervals of all photon numbers are one
+    stack of exponentials and share the cached undriven tail, applied as a
+    stacked matrix-vector product, so each value is bit for bit independent
+    of the other photon numbers passed with it.
+    """
+    ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
+    if not (ns >= 0).all():
+        raise SpecError(f"photon numbers must satisfy N >= 0, got {ns[~(ns >= 0)][0]}")
+    spec = DriveSpec(SquarePulse(T=T, N=0.0), topology)
+    njump = jump_superop(spec)
+    static, drive = liouvillian_parts(topology)
+    amps = np.sqrt(drive_coefficient(topology) * (ns / T))
+    pulse = hierarchy_exponential(static - njump + amps[:, None, None] * drive, njump, 1, T)
+    tail = hierarchy_exponential(static - njump, njump, 1, spec.t_end - T)
+    # vectorize(GROUND) is the first unit vector, so the state after the
+    # pulse is the first column of each pulse exponential
+    y = tail @ pulse[:, :, :1]
+    return (y[:, 4, 0] + y[:, 7, 0]).real
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",

@@ -310,15 +310,18 @@ def build_liouvillian(spec: DriveSpec, t: float) -> np.ndarray:
     return static + drive_amplitude(spec, t) * drive
 
 
+_JUMP_SINGLE = _locked(0.5 * np.kron(SIGMA_MINUS, SIGMA_MINUS))
+_JUMP_TWO = _locked(np.kron(SIGMA_MINUS, SIGMA_MINUS))
+
+
 def jump_superop(spec: DriveSpec) -> np.ndarray:
-    """Jump superoperator of the monitored output channel.
+    """Jump superoperator of the monitored output channel (read-only).
 
     Single line (reflected field): ``rho -> sm rho sp / 2``. Two lines
     (strong output line): ``rho -> sm rho sp``. One application represents
     one detected photon; applying it twice annihilates any state.
     """
-    weight = 1.0 if isinstance(spec.topology, TwoLine) else 0.5
-    return weight * np.kron(SIGMA_MINUS, SIGMA_MINUS)
+    return _JUMP_TWO if isinstance(spec.topology, TwoLine) else _JUMP_SINGLE
 
 
 def constant_intervals(spec: DriveSpec) -> list[tuple[float, float, np.ndarray]] | None:

@@ -109,13 +109,29 @@ def _graded_map(pulse, t0: float, t1: float):
 
 
 def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray | None, k: int) -> np.ndarray:
+    """Block lower-bidiagonal generator of levels 0..k, broadcast over the
+    leading axes of ``diag`` (shape ``(..., 4, 4)``)."""
     dim = 4 * (k + 1)
-    big = np.zeros((dim, dim), dtype=complex)
+    big = np.zeros(diag.shape[:-2] + (dim, dim), dtype=complex)
     for j in range(k + 1):
-        big[4 * j:4 * j + 4, 4 * j:4 * j + 4] = diag
+        big[..., 4 * j:4 * j + 4, 4 * j:4 * j + 4] = diag
         if j:
-            big[4 * j:4 * j + 4, 4 * j - 4:4 * j] = feed
+            big[..., 4 * j:4 * j + 4, 4 * j - 4:4 * j] = feed
     return big
+
+
+def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray | None, k: int,
+                          dt: float) -> np.ndarray:
+    """Exponential over ``dt`` of the hierarchy generator of levels 0..k.
+
+    One 4x4 ``diag`` gives one cached exponential (see :func:`expm_interval`);
+    a stack of shape ``(n, 4, 4)`` gives ``n`` exponentials from one scipy
+    call, each slice computed exactly as if it were alone.
+    """
+    gen = _hierarchy_blocks(diag, feed, k)
+    if gen.ndim == 2:
+        return expm_interval(gen, dt)
+    return expm(gen * dt)
 
 
 def _rk4(spec: DriveSpec, terms: tuple, rows: np.ndarray, t0: float, t1: float,
@@ -201,7 +217,7 @@ def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
             a, b = max(lo, t0), min(hi, t1)
             if b > a:
                 diag = gen - njump if resolved else gen
-                y = expm_interval(_hierarchy_blocks(diag, njump, k), b - a) @ y
+                y = hierarchy_exponential(diag, njump, k, b - a) @ y
         return y
 
     static, drive = liouvillian_parts(spec.topology)

@@ -8,6 +8,9 @@ pulse inverts the emitter when its area ``sqrt(2 N T)`` (single line) or
 ``sqrt(4 a N T)`` (two lines) reaches pi, so the one-photon probability
 at fixed width peaks near ``N = pi^2/(2T)`` and ``N = pi^2/(4 a T)``;
 optimization is restricted to this first inversion lobe unless widened.
+The optimizer maximizes the exact one-photon probability
+(:func:`photonstat.counting.one_photon_probability`), which needs no
+cutoff; only the distribution reported at the optimum uses the moment route.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .counting import (
     START_CUTOFF,
     TAIL_TOLERANCE,
     PhotonStats,
+    one_photon_probability,
     photon_statistics,
     verify_dual,
 )
@@ -41,8 +45,6 @@ DEFAULT_N_GRID = np.linspace(0.0, 120.0, 120)
 DEFAULT_A_GRID = np.logspace(math.log10(0.005), 0.0, 30)
 
 _CHECK_SEED = 20177
-# Scan cutoff; the returned record is recomputed with the adaptive cutoff.
-_SCAN_CUTOFF = 4
 
 
 def pi_pulse_number(T: float, a: float | None = None) -> float:
@@ -88,12 +90,16 @@ def maximize_p1(topology: Topology, T: float, n_range=None, k: int | None = None
                 widen: bool = False) -> MaximizeResult:
     """Maximize the one-photon probability over the drive photon number.
 
-    A coarse scan (at least 64 points) brackets the maximum, golden-section
-    refinement narrows it to a relative width below ``rel_tol``, and ties
-    resolve to the leftmost maximizer. ``at_boundary`` flags a maximum on
-    the edge of the scanned range. The default range covers the first
-    inversion lobe, 1.5x the pi-pulse photon number (``widen`` extends it
-    through the second lobe).
+    The objective is the exact ``P_1`` of :func:`one_photon_probability`,
+    which needs no cutoff. A coarse scan (at least 64 points, evaluated as
+    one stack) brackets the maximum, golden-section refinement narrows it
+    to a relative width below ``rel_tol``, and ties resolve to the leftmost
+    maximizer. ``stats`` is the moment-route distribution at the maximizer
+    (cutoff ``k``, adaptive by default), so ``stats.p1`` equals the
+    objective there to that route's accuracy. ``at_boundary`` flags a
+    maximum on the edge of the scanned range. The default range covers the
+    first inversion lobe, 1.5x the pi-pulse photon number (``widen``
+    extends it through the second lobe).
     """
     a = topology.a if isinstance(topology, TwoLine) else None
     n_pi = pi_pulse_number(T, a)
@@ -110,10 +116,10 @@ def maximize_p1(topology: Topology, T: float, n_range=None, k: int | None = None
         )
 
     def p1(n: float) -> float:
-        return photon_statistics(_spec_for(topology, T, n), k=_SCAN_CUTOFF).p1
+        return float(one_photon_probability(topology, T, [n])[0])
 
     grid = np.linspace(lo, hi, max(64, coarse_points))
-    values = np.array([p1(n) for n in grid])
+    values = one_photon_probability(topology, T, grid)
     i_best = int(np.argmax(values))
     at_boundary = i_best in (0, len(grid) - 1)
     b_lo = grid[max(i_best - 1, 0)]
@@ -260,4 +266,6 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
               for i, a in enumerate(a_grid) for j, T in enumerate(T_grid)]
     records = _run_points(_two_line_point, points, workers)
     return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records,
-                       metadata=_metadata("two", k, check_fraction, delta=delta))
+                       metadata=_metadata("two", k, check_fraction, delta=delta,
+                                          objective="exact P1 over N (levels 0-1 of "
+                                                    "the jump-resolved hierarchy)"))

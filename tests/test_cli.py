@@ -120,6 +120,14 @@ class TestSweep:
         assert main(args + ["--out", str(out2), "--threads", "3"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_two_line_sweep_deterministic_across_threads(self, tmp_path):
+        args = ["sweep", "--preset", "custom", "--a-grid", "0.05,0.5",
+                "--T-grid", "0.1,0.5"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
+        assert main(args + ["--out", str(out2), "--threads", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_line_endings_and_header(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["sweep", "--preset", "custom", "--T-grid", "0.1", "--N-grid", "1,2",

@@ -1,9 +1,12 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import photonstat as ps
@@ -239,3 +242,48 @@ class TestPhotonStatistics:
         ja = ps.photon_statistics(sq, method="jump-counting", k=5).probabilities
         jb = ps.photon_statistics(sa, method="jump-counting", k=5).probabilities
         assert np.max(np.abs(ja - jb)) < 1e-6
+
+
+# topology of either kind, detuned or not
+TOPOLOGIES = st.one_of(
+    st.builds(ps.SingleLine, delta=st.floats(-2.0, 2.0)),
+    st.builds(ps.TwoLine, a=st.floats(0.005, 1.0), delta=st.floats(-2.0, 2.0)),
+)
+PHOTON_NUMBERS = st.lists(st.floats(0.0, 200.0), min_size=1, max_size=12)
+
+
+class TestOnePhotonProbability:
+    def test_matches_both_routes_on_random_specs(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            spec = random_square_spec(rng)
+            p1 = ps.one_photon_probability(spec.topology, spec.pulse.T, [spec.pulse.N])
+            sm = ps.photon_statistics(spec)
+            sc = ps.photon_statistics(spec, method="jump-counting")
+            assert abs(p1[0] - sc.p1) <= 1e-9
+            # the moment route truncates its inversion at the top moment
+            assert abs(p1[0] - sm.p1) <= 1e-9 + sm.tail_bound
+
+    def test_vacuum_and_bad_photon_number(self):
+        assert ps.one_photon_probability(ps.TwoLine(a=0.5), 0.1, [0.0])[0] == 0.0
+        with pytest.raises(SpecError, match="N >= 0"):
+            ps.one_photon_probability(ps.SingleLine(), 0.1, [1.0, -1.0])
+
+    @given(TOPOLOGIES, st.floats(0.05, 5.0), PHOTON_NUMBERS)
+    @settings(max_examples=40, deadline=None)
+    def test_values_are_probabilities(self, topology, T, ns):
+        p1 = ps.one_photon_probability(topology, T, ns)
+        assert np.all((p1 >= 0.0) & (p1 <= 1.0))
+
+    @given(TOPOLOGIES, st.floats(0.05, 5.0), PHOTON_NUMBERS)
+    @settings(max_examples=40, deadline=None)
+    def test_detuning_sign_symmetry(self, topology, T, ns):
+        mirrored = ps.one_photon_probability(replace(topology, delta=-topology.delta), T, ns)
+        assert np.array_equal(ps.one_photon_probability(topology, T, ns), mirrored)
+
+    @given(TOPOLOGIES, st.floats(0.05, 5.0), PHOTON_NUMBERS)
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_one_at_a_time(self, topology, T, ns):
+        stacked = ps.one_photon_probability(topology, T, ns)
+        alone = [ps.one_photon_probability(topology, T, [n])[0] for n in ns]
+        assert np.array_equal(stacked, alone)

@@ -195,6 +195,13 @@ class TestJumpSuperop:
         two = ps.jump_superop(ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), ps.TwoLine(a=0.7)))
         assert np.array_equal(2.0 * single, two)
 
+    def test_shared_read_only_values(self):
+        for topo, weight in ((ps.SingleLine(), 0.5), (ps.TwoLine(a=0.7), 1.0)):
+            nj = ps.jump_superop(ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), topo))
+            assert np.array_equal(nj, weight * np.kron(ps.SIGMA_MINUS, ps.SIGMA_MINUS))
+            assert not nj.flags.writeable
+            assert nj is ps.jump_superop(ps.DriveSpec(ps.SquarePulse(T=2.0, N=3.0), topo))
+
     def test_double_application_annihilates(self):
         # sm sm = 0 makes repeated jumps without re-excitation impossible
         nj = ps.jump_superop(ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import photonstat as ps
+from photonstat import sweeps
 from photonstat.errors import SpecError
 from photonstat.sweeps import _golden_max
 
@@ -49,6 +50,21 @@ class TestMaximizeP1:
         best_single = ps.maximize_p1(ps.SingleLine(), T=0.1)
         assert best_001.stats.p1 > best_05.stats.p1 > best_single.stats.p1
         assert best_05.stats.p1 > 0.5
+
+    def test_reported_p1_is_the_objective_at_the_maximizer(self, monkeypatch):
+        seen = {}
+
+        def recording(topology, T, ns):
+            p1 = ps.one_photon_probability(topology, T, ns)
+            seen.update(zip(np.asarray(ns, dtype=float).tolist(), p1))
+            return p1
+
+        monkeypatch.setattr(sweeps, "one_photon_probability", recording)
+        for topology, T in [(ps.TwoLine(a=0.01), 0.1), (ps.TwoLine(a=0.3), 0.5),
+                            (ps.TwoLine(a=1.0), 5.0), (ps.SingleLine(), 0.1)]:
+            seen.clear()
+            best = ps.maximize_p1(topology, T)
+            assert abs(best.stats.p1 - seen[best.n_star]) <= 1e-9
 
     def test_maximum_dominates_scan(self):
         best = ps.maximize_p1(ps.SingleLine(), T=0.1)
