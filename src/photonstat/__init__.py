@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     CutoffError,
-    GridError,
     NumericalError,
     SpecError,
 )
@@ -51,13 +50,7 @@ from .liouville import (
     total_decay_rate,
     vectorize,
 )
-from .propagator import (
-    PropagatorGrid,
-    evolve_state,
-    propagator_between,
-    segment_propagators,
-    validate_density,
-)
+from .propagator import evolve_state, propagator_between, validate_density
 from .sweeps import (
     DEFAULT_A_GRID,
     DEFAULT_N_GRID,

@@ -372,16 +372,10 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(loaded)
-    for key in ("topology", "pulse", "T", "N", "delta", "a", "window", "initial",
-                "method", "k", "n_traj", "seed", "out", "format", "threads",
-                "compare", "preset"):
-        value = getattr(ns, key, None)
+    for name in (f.name for f in fields(RunConfig)):
+        value = getattr(ns, name, None)
         if value is not None:
-            data[key] = value
-    for key in ("t_grid", "n_grid", "a_grid"):
-        value = getattr(ns, key, None)
-        if value is not None:
-            data[key] = _parse_grid(value) if isinstance(value, str) else value
+            data[name] = _parse_grid(value) if name.endswith("_grid") else value
     return RunConfig.from_dict(data)
 
 

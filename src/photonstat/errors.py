@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Validation problems (bad model parameters, malformed configs, misaligned
-grids) raise ``ValueError`` subclasses; tolerance and convergence failures
-raise ``NumericalError`` subclasses. The CLI maps the former to exit code 2
+Validation problems (bad model parameters, malformed configs) raise
+``ValueError`` subclasses; tolerance and convergence failures raise
+``NumericalError`` subclasses. The CLI maps the former to exit code 2
 and the latter to exit code 3.
 """
 
@@ -13,10 +13,6 @@ class SpecError(ValueError):
 
 class ConfigError(SpecError):
     """Malformed CLI flags or config file contents."""
-
-
-class GridError(ValueError):
-    """Time grid incompatible with the drive envelope (edge inside a segment)."""
 
 
 class NumericalError(RuntimeError):

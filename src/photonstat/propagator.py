@@ -13,15 +13,13 @@ advanced from the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConvergenceError, GridError, SpecError
+from .errors import ConvergenceError, SpecError
 from .liouville import (
-    GROUND,
     DriveSpec,
     build_liouvillian,
     constant_intervals,
@@ -31,20 +29,12 @@ from .liouville import (
     vectorize,
 )
 
-__all__ = [
-    "PropagatorGrid", "segment_propagators", "evolve_state",
-    "propagator_between", "validate_density", "advance",
-]
+__all__ = ["evolve_state", "propagator_between", "validate_density", "advance"]
 
 # Step-halving tolerance of each sampled-envelope part of a propagator span.
 RK_TOLERANCE = 1e-9
 # Trace drift above which a state is renormalized after a segment.
 TRACE_DRIFT = 1e-12
-
-
-def default_step(spec: DriveSpec) -> float:
-    """Grid step resolving both the drive oscillation and the decay."""
-    return min(0.01, spec.pulse.end / 20.0)
 
 
 def validate_density(rho) -> np.ndarray:
@@ -245,96 +235,3 @@ def evolve_state(spec: DriveSpec, rho0, t0: float, t1: float) -> np.ndarray:
     rho0 = validate_density(rho0)
     prop = propagator_between(spec, t0, t1)
     return _restore(devectorize(prop @ vectorize(rho0)))
-
-
-@dataclass(frozen=True)
-class PropagatorGrid:
-    """State trajectory and segment propagators on a time grid.
-
-    ``segments[j]`` maps the vectorized state at ``times[j]`` to the one at
-    ``times[j+1]``; ``states[j]`` is the density matrix at ``times[j]``.
-    The grid is immutable and safe to share between workers.
-    """
-
-    spec: DriveSpec
-    times: np.ndarray
-    segments: tuple[np.ndarray, ...]
-    states: tuple[np.ndarray, ...]
-    rho0: np.ndarray
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.rho0.setflags(write=False)
-        for s in self.states:
-            s.setflags(write=False)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-
-def _build_times(spec: DriveSpec, step: float) -> np.ndarray:
-    parts = spec.breakpoints()
-    ts = [np.array([0.0])]
-    for lo, hi in zip(parts, parts[1:]):
-        n = max(1, int(np.ceil((hi - lo) / step - 1e-12)))
-        ts.append(np.linspace(lo, hi, n + 1)[1:])
-    return np.concatenate(ts)
-
-
-def _check_times(spec: DriveSpec, times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise GridError("grid needs at least two time points")
-    if times[0] != 0.0 or abs(times[-1] - spec.t_end) > 1e-12:
-        raise GridError(f"grid must span [0, {spec.t_end}]")
-    if np.any(np.diff(times) <= 0):
-        raise GridError("grid times must be strictly increasing")
-    for edge in spec.breakpoints():
-        j = np.searchsorted(times, edge)
-        near = times[max(j - 1, 0):j + 2]
-        if not np.any(np.abs(near - edge) <= 1e-12):
-            raise GridError(f"envelope edge t={edge} falls inside a grid segment")
-    return times
-
-
-def segment_propagators(spec: DriveSpec, step: float | None = None,
-                        rho0=None, times=None) -> PropagatorGrid:
-    """Build the state trajectory and segment propagators for one run.
-
-    Parameters
-    ----------
-    spec : DriveSpec
-        Drive and topology; the grid covers ``[0, spec.t_end]``.
-    step : float, optional
-        Target grid spacing; defaults to ``min(0.01, T/20)``. Each interval
-        between envelope breakpoints is subdivided uniformly.
-    rho0 : array_like, optional
-        Initial state, default ``|g><g|``.
-    times : array_like, optional
-        Explicit grid. Must start at 0, end at ``t_end`` and contain every
-        envelope breakpoint, otherwise :class:`GridError` is raised.
-
-    Notes
-    -----
-    For square pulses every segment is the exact exponential of the
-    constant on-segment generator, so results do not depend on ``step``.
-    """
-    if step is not None and not step > 0:
-        raise SpecError(f"step must be positive, got {step}")
-    rho0 = validate_density(GROUND if rho0 is None else rho0)
-    if times is None:
-        times = _build_times(spec, step if step is not None else default_step(spec))
-    else:
-        times = _check_times(spec, times)
-
-    # explicit grids may end up to 1e-12 past t_end, so call the core directly
-    segments = [advance(spec, np.eye(4, dtype=complex), t0, t1, RK_TOLERANCE)
-                for t0, t1 in zip(times, times[1:])]
-
-    states = [np.array(rho0, dtype=complex)]
-    for seg in segments:
-        states.append(_restore(devectorize(seg @ vectorize(states[-1]))))
-
-    return PropagatorGrid(spec=spec, times=times, segments=tuple(segments),
-                          states=tuple(states), rho0=np.array(rho0, dtype=complex))

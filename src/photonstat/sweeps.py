@@ -7,7 +7,7 @@ pulse widths log-spaced over [0.05, 5], photon numbers linear over
 pulse inverts the emitter when its area ``sqrt(2 N T)`` (single line) or
 ``sqrt(4 a N T)`` (two lines) reaches pi, so the one-photon probability
 at fixed width peaks near ``N = pi^2/(2T)`` and ``N = pi^2/(4 a T)``;
-optimization is restricted to this first inversion lobe unless widened.
+optimization is restricted to this first inversion lobe.
 The optimizer maximizes the exact one-photon probability
 (:func:`photonstat.counting.one_photon_probability`), which needs no
 cutoff; only the distribution reported at the optimum uses the moment route.
@@ -45,6 +45,16 @@ DEFAULT_N_GRID = np.linspace(0.0, 120.0, 120)
 DEFAULT_A_GRID = np.logspace(math.log10(0.005), 0.0, 30)
 
 _CHECK_SEED = 20177
+# Share of sweep points re-evaluated by the jump-counting route.
+_CHECK_FRACTION = 0.05
+# maximize_p1: points of the bracketing scan, its default range in pi-pulse
+# photon numbers (the first inversion lobe), and the relative width at
+# which golden-section refinement stops.
+_SCAN_POINTS = 64
+_FIRST_LOBE = 1.5
+_REL_TOL = 1e-3
+# sweep_two_line_slices: N range in pi-pulse photon numbers.
+_SLICE_SPAN = 2.0
 
 
 def pi_pulse_number(T: float, a: float | None = None) -> float:
@@ -85,26 +95,24 @@ class MaximizeResult:
     at_boundary: bool
 
 
-def maximize_p1(topology: Topology, T: float, n_range=None, k: int | None = None,
-                rel_tol: float = 1e-3, coarse_points: int = 64,
-                widen: bool = False) -> MaximizeResult:
+def maximize_p1(topology: Topology, T: float, n_range=None,
+                k: int | None = None) -> MaximizeResult:
     """Maximize the one-photon probability over the drive photon number.
 
     The objective is the exact ``P_1`` of :func:`one_photon_probability`,
-    which needs no cutoff. A coarse scan (at least 64 points, evaluated as
-    one stack) brackets the maximum, golden-section refinement narrows it
-    to a relative width below ``rel_tol``, and ties resolve to the leftmost
-    maximizer. ``stats`` is the moment-route distribution at the maximizer
-    (cutoff ``k``, adaptive by default), so ``stats.p1`` equals the
-    objective there to that route's accuracy. ``at_boundary`` flags a
-    maximum on the edge of the scanned range. The default range covers the
-    first inversion lobe, 1.5x the pi-pulse photon number (``widen``
-    extends it through the second lobe).
+    which needs no cutoff. A coarse scan (64 points, evaluated as one
+    stack) brackets the maximum, golden-section refinement narrows it to a
+    relative width below 1e-3, and ties resolve to the leftmost maximizer.
+    ``stats`` is the moment-route distribution at the maximizer (cutoff
+    ``k``, adaptive by default), so ``stats.p1`` equals the objective there
+    to that route's accuracy. ``at_boundary`` flags a maximum on the edge
+    of the scanned range. The default range covers the first inversion
+    lobe, 1.5x the pi-pulse photon number.
     """
     a = topology.a if isinstance(topology, TwoLine) else None
     n_pi = pi_pulse_number(T, a)
     if n_range is None:
-        n_range = (0.0, (13.5 if widen else 1.5) * n_pi)
+        n_range = (0.0, _FIRST_LOBE * n_pi)
     lo, hi = float(n_range[0]), float(n_range[1])
     if not 0 <= lo < hi:
         raise SpecError(f"need 0 <= lo < hi in the search range, got ({lo}, {hi})")
@@ -118,13 +126,13 @@ def maximize_p1(topology: Topology, T: float, n_range=None, k: int | None = None
     def p1(n: float) -> float:
         return float(one_photon_probability(topology, T, [n])[0])
 
-    grid = np.linspace(lo, hi, max(64, coarse_points))
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     values = one_photon_probability(topology, T, grid)
     i_best = int(np.argmax(values))
     at_boundary = i_best in (0, len(grid) - 1)
     b_lo = grid[max(i_best - 1, 0)]
     b_hi = grid[min(i_best + 1, len(grid) - 1)]
-    n_star = _golden_max(p1, float(b_lo), float(b_hi), rel_tol)
+    n_star = _golden_max(p1, float(b_lo), float(b_hi), _REL_TOL)
     stats = photon_statistics(_spec_for(topology, T, n_star), k=k)
     return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
 
@@ -148,14 +156,14 @@ class SweepResult:
     metadata: dict
 
 
-def _metadata(topology_name: str, k: int | None, check_fraction: float, **extra) -> dict:
+def _metadata(topology_name: str, k: int | None, **extra) -> dict:
     md = {
         "topology": topology_name,
         "window_policy": "t_end = pulse end + 12 / total decay rate",
         "cutoff_policy": f"fixed k={k}" if k is not None
                          else f"adaptive k in {START_CUTOFF}..{MAX_CUTOFF}, "
                               f"top moment < {TAIL_TOLERANCE:g}",
-        "dual_check_fraction": check_fraction,
+        "dual_check_fraction": _CHECK_FRACTION,
     }
     md.update(extra)
     return md
@@ -197,17 +205,16 @@ def _run_points(worker, points, workers: int) -> tuple:
     return tuple(worker(*point) for point in points)
 
 
-def _check_mask(n: int, fraction: float) -> np.ndarray:
+def _check_mask(n: int) -> np.ndarray:
     rng = np.random.default_rng(_CHECK_SEED)
-    return rng.random(n) < fraction
+    return rng.random(n) < _CHECK_FRACTION
 
 
 def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
-                      delta: float = 0.0, check_fraction: float = 0.05,
-                      workers: int = 1) -> SweepResult:
+                      delta: float = 0.0, workers: int = 1) -> SweepResult:
     """Count probabilities at every (T, N) of a single-line map.
 
-    A deterministic ``check_fraction`` subsample of the grid points is
+    A deterministic 5 % subsample of the grid points is
     re-evaluated with the jump-counting route and must agree componentwise
     to 1e-6. Records are row-major over (T, N); reruns are bit-identical.
     """
@@ -215,42 +222,40 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     N_grid = np.asarray(DEFAULT_N_GRID if N_grid is None else N_grid, dtype=float)
     if np.any(T_grid <= 0) or np.any(N_grid < 0):
         raise SpecError("pulse widths must be positive and photon numbers non-negative")
-    checks = _check_mask(len(T_grid) * len(N_grid), check_fraction)
+    checks = _check_mask(len(T_grid) * len(N_grid))
     topology = SingleLine(delta=delta)
     points = [(topology, float(T), float(N), k, bool(checks[i * len(N_grid) + j]))
               for i, T in enumerate(T_grid) for j, N in enumerate(N_grid)]
     records = _run_points(_fixed_point, points, workers)
     return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records,
-                       metadata=_metadata("single", k, check_fraction, delta=delta))
+                       metadata=_metadata("single", k, delta=delta))
 
 
-def sweep_two_line_slices(a_values, T: float, points: int = 120, span: float = 2.0,
+def sweep_two_line_slices(a_values, T: float, points: int = 120,
                           k: int | None = None, delta: float = 0.0,
-                          check_fraction: float = 0.05,
                           workers: int = 1) -> SweepResult:
     """Fixed-width distributions versus N for a few coupling ratios.
 
     For each ratio the N grid is linear with ``points`` samples up to
-    ``span`` times that ratio's pi-pulse photon number, so the first
-    inversion lobe is always in view.
+    twice that ratio's pi-pulse photon number, so the first inversion lobe
+    is always in view.
     """
     a_values = [float(a) for a in np.atleast_1d(a_values)]
-    checks = _check_mask(len(a_values) * points, check_fraction)
+    checks = _check_mask(len(a_values) * points)
     pts = []
     for i, a in enumerate(a_values):
-        for j, N in enumerate(np.linspace(0.0, span * pi_pulse_number(T, a), points)):
+        for j, N in enumerate(np.linspace(0.0, _SLICE_SPAN * pi_pulse_number(T, a), points)):
             pts.append((TwoLine(a=a, delta=delta), float(T), float(N), k,
                         bool(checks[i * points + j])))
     records = _run_points(_fixed_point, pts, workers)
     return SweepResult(axes={"a": np.asarray(a_values), "T": np.asarray([T])},
                        records=records,
-                       metadata=_metadata("two", k, check_fraction, delta=delta,
-                                          slice_points=points, slice_span=span))
+                       metadata=_metadata("two", k, delta=delta, slice_points=points,
+                                          slice_span=_SLICE_SPAN))
 
 
 def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
-                   delta: float = 0.0, check_fraction: float = 0.05,
-                   workers: int = 1) -> SweepResult:
+                   delta: float = 0.0, workers: int = 1) -> SweepResult:
     """Maximal one-photon probability over N at every (a, T).
 
     Each grid point runs :func:`maximize_p1` and records the distribution
@@ -260,12 +265,12 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
     T_grid = np.asarray(DEFAULT_T_GRID if T_grid is None else T_grid, dtype=float)
     if np.any(T_grid <= 0):
         raise SpecError("pulse widths must be positive")
-    checks = _check_mask(len(a_grid) * len(T_grid), check_fraction)
+    checks = _check_mask(len(a_grid) * len(T_grid))
     points = [(TwoLine(a=float(a), delta=delta), float(T), k,
                bool(checks[i * len(T_grid) + j]))
               for i, a in enumerate(a_grid) for j, T in enumerate(T_grid)]
     records = _run_points(_two_line_point, points, workers)
     return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records,
-                       metadata=_metadata("two", k, check_fraction, delta=delta,
+                       metadata=_metadata("two", k, delta=delta,
                                           objective="exact P1 over N (levels 0-1 of "
                                                     "the jump-resolved hierarchy)"))

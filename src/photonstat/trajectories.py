@@ -81,13 +81,6 @@ class TrajectoryResult:
     def __post_init__(self):
         self.counts.setflags(write=False)
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.n_traj
-
-    def standard_errors(self) -> np.ndarray:
-        p = self.probabilities()
-        return np.sqrt(p * (1.0 - p) / self.n_traj)
-
 
 # ---------------------------------------------------------------------------
 # Per-trajectory random streams

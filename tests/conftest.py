@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 
 import photonstat as ps
@@ -35,3 +37,38 @@ def random_density(rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = m @ m.conj().T
     return rho / rho.trace()
+
+
+class TimeGrid(NamedTuple):
+    """States and propagators of a run on a time grid.
+
+    ``segments[j]`` maps the vectorized state at ``times[j]`` to the one at
+    ``times[j+1]``; ``states[j]`` is the density matrix at ``times[j]``.
+    """
+
+    spec: ps.DriveSpec
+    times: np.ndarray
+    segments: tuple
+    states: tuple
+
+
+def time_grid(spec, step=None):
+    """Propagate ``|g><g|`` across ``[0, t_end]`` on a breakpoint-aligned grid.
+
+    Each interval between envelope breakpoints is split uniformly at
+    ``step``, by default ``min(0.01, pulse end / 20)``, which resolves both
+    the drive oscillation and the decay.
+    """
+    step = min(0.01, spec.pulse.end / 20.0) if step is None else step
+    edges = spec.breakpoints()
+    times = [np.array([0.0])]
+    for lo, hi in zip(edges, edges[1:]):
+        n = max(1, int(np.ceil((hi - lo) / step - 1e-12)))
+        times.append(np.linspace(lo, hi, n + 1)[1:])
+    times = np.concatenate(times)
+    spans = list(zip(times, times[1:]))
+    segments = tuple(ps.propagator_between(spec, t0, t1) for t0, t1 in spans)
+    states = [ps.validate_density(ps.GROUND)]
+    for t0, t1 in spans:
+        states.append(ps.evolve_state(spec, states[-1], t0, t1))
+    return TimeGrid(spec, times, segments, tuple(states))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import photonstat as ps
-from conftest import ACCEPTANCE_LINES, random_square_spec
+from conftest import ACCEPTANCE_LINES, random_square_spec, time_grid
 from photonstat.cli import main
 
 PI_SQ = np.pi**2
@@ -165,7 +165,7 @@ def test_criterion_6_exact_anchors():
 def test_criterion_7_numerical_hygiene(tmp_path):
     # trace preservation along a strongly driven window
     spec = ps.DriveSpec(ps.SquarePulse(T=0.2, N=100.0), ps.TwoLine(a=0.4))
-    grid = ps.segment_propagators(spec)
+    grid = time_grid(spec)
     rng = np.random.default_rng(99)
     worst_trace = 0.0
     for seg in grid.segments[::10]:
@@ -196,8 +196,8 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     # step halving for a sampled envelope
     pulse = ps.SampledPulse((0.0, 0.05, 0.15, 0.2), (0.0, 60.0, 60.0, 0.0))
     ramp = ps.DriveSpec(pulse, t_end=1.0)
-    coarse = ps.segment_propagators(ramp, step=0.02)
-    fine = ps.segment_propagators(ramp, step=0.01)
+    coarse = time_grid(ramp, step=0.02)
+    fine = time_grid(ramp, step=0.01)
     halving_gap = 0.0
     for j, t in enumerate(coarse.times):
         i = int(np.argmin(np.abs(fine.times - t)))

