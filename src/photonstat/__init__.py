@@ -24,6 +24,7 @@ from .errors import (
     CutoffError,
     NumericalError,
     SpecError,
+    TailError,
 )
 from .liouville import (
     EXCITED,

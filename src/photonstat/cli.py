@@ -365,6 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
+    """Config file keys overridden by explicit flags; grid strings parsed."""
     data: dict = {}
     if ns.config:
         with open(ns.config) as fh:
@@ -375,7 +376,13 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
     for name in (f.name for f in fields(RunConfig)):
         value = getattr(ns, name, None)
         if value is not None:
-            data[name] = _parse_grid(value) if name.endswith("_grid") else value
+            data[name] = value
+    for name, value in data.items():
+        if name.endswith("_grid") and isinstance(value, str):
+            try:
+                data[name] = _parse_grid(value)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
     return RunConfig.from_dict(data)
 
 

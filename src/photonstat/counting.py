@@ -20,8 +20,10 @@ Two independent routes produce the count distribution over the window:
 
 Both hierarchies are block lower-bidiagonal linear systems, advanced by
 :func:`photonstat.propagator.advance`: exactly, with one matrix
-exponential per constant-drive interval, for square pulses, and by RK4
-with step-halving verification for sampled envelopes.
+exponential per constant-flux interval (every interval of a square pulse,
+and the flat parts and undriven tail of a sampled envelope), and with the
+fourth-order commutator-free Magnus scheme CF4, verified by step halving,
+where a sampled envelope varies.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, NumericalError, SpecError
+from .errors import CutoffError, NumericalError, SpecError, TailError
 from .liouville import (
     GROUND,
     DriveSpec,
@@ -50,12 +52,12 @@ __all__ = [
     "one_photon_probability", "verify_dual",
 ]
 
-# Cutoff policy: raise k until the top moment is below TAIL_TOLERANCE. The
-# cap bounds the inversion's truncation remainder, C(k+1, n) * N_{k+1},
-# below ~1e-7 over the supported drive range; the alternating sums stay
-# well conditioned because the moments themselves never exceed a few.
+# Cutoff policy: raise k until the top moment is below TAIL_TOLERANCE, which
+# bounds the inversion's truncation remainder, C(k+1, n) * N_{k+1}. A drive
+# whose top moment is still above it at MAX_CUTOFF raises TailError instead
+# of inverting a truncated series.
 TAIL_TOLERANCE = 1e-8
-MAX_CUTOFF = 14
+MAX_CUTOFF = 16
 START_CUTOFF = 4
 # Clamping band for roundoff-negative probabilities.
 NEGATIVE_TOLERANCE = 1e-9
@@ -245,8 +247,10 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     of 2, at most to ``MAX_CUTOFF``, until the top moment falls below
     ``TAIL_TOLERANCE``, respectively until the jump-resolved distribution is
     complete to ``NORMALIZATION_TOLERANCE``; the reported ``tail_bound`` is
-    the top moment, respectively the missing probability mass. A ``rho0``
-    other than the default ``|g><g|`` is checked by ``validate_density``.
+    the top moment, respectively the missing probability mass. Reaching
+    ``MAX_CUTOFF`` with the criterion unmet raises :class:`TailError`,
+    respectively :class:`CutoffError`. A ``rho0`` other than the default
+    ``|g><g|`` is checked by ``validate_density``.
     """
     njump = jump_superop(spec)
 
@@ -257,6 +261,11 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
             while moments[-1] >= TAIL_TOLERANCE and cutoff < MAX_CUTOFF:
                 cutoff = min(cutoff + 2, MAX_CUTOFF)
                 moments = binomial_moments(spec, njump, cutoff, rho0)
+            if moments[-1] >= TAIL_TOLERANCE:
+                raise TailError(
+                    f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
+                    f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
+                    f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
         probs = invert_moments(moments)
         return PhotonStats(moments=moments, probabilities=probs, cutoff_k=cutoff,
                            tail_bound=float(moments[-1]), method=method)

@@ -23,5 +23,9 @@ class CutoffError(NumericalError):
     """Photon-number cutoff too small for the requested accuracy."""
 
 
+class TailError(CutoffError):
+    """Moment inversion reached the cutoff cap with its tail criterion unmet."""
+
+
 class ConvergenceError(NumericalError):
     """Step refinement failed to reach the requested tolerance."""

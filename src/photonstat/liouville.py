@@ -45,7 +45,7 @@ __all__ = [
     "Channel", "vectorize", "devectorize", "dissipator",
     "drive_amplitude", "drive_hamiltonian", "effective_hamiltonian",
     "build_liouvillian", "jump_superop", "decay_channels",
-    "constant_intervals", "total_decay_rate", "default_window",
+    "drive_intervals", "total_decay_rate", "default_window",
 ]
 
 
@@ -324,18 +324,20 @@ def jump_superop(spec: DriveSpec) -> np.ndarray:
     return _JUMP_TWO if isinstance(spec.topology, TwoLine) else _JUMP_SINGLE
 
 
-def constant_intervals(spec: DriveSpec) -> list[tuple[float, float, np.ndarray]] | None:
-    """Partition of the window into intervals of constant Liouvillian.
+def drive_intervals(spec: DriveSpec) -> list[tuple[float, float, np.ndarray | None]]:
+    """Partition of the window at the envelope breakpoints.
 
-    Returns ``[(t0, t1, L), ...]`` covering ``[0, t_end]`` for piecewise
-    constant drives (square pulses), or ``None`` when the generator varies
-    continuously (sampled envelopes). Zero-length intervals are dropped.
+    Returns ``[(t0, t1, L), ...]`` covering ``[0, t_end]`` in order. ``L``
+    is the Liouvillian of an interval where the flux is constant (every
+    interval of a square pulse, flat tops and rectangles of a sampled one,
+    the undriven tail), and ``None`` where the flux varies linearly.
     """
-    if not isinstance(spec.pulse, SquarePulse):
-        return None
+    flux = spec.pulse.flux
     edges = spec.breakpoints()
     out = []
     for t0, t1 in zip(edges, edges[1:]):
-        if t1 > t0:
-            out.append((t0, t1, build_liouvillian(spec, 0.5 * (t0 + t1))))
+        # the flux is linear between breakpoints: equal values at two
+        # interior points make it constant across the interval
+        constant = flux(0.75 * t0 + 0.25 * t1) == flux(0.25 * t0 + 0.75 * t1)
+        out.append((t0, t1, build_liouvillian(spec, 0.5 * (t0 + t1)) if constant else None))
     return out

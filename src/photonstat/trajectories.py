@@ -8,10 +8,10 @@ last reset, so a jump happens where the norm falls to a uniform threshold
 Daley, Adv. Phys. 63, 77 (2014)).
 
 The sampler is event driven. The counting window splits into pieces on
-which ``H_eff`` is constant: the constant-drive intervals (every interval
-of a square pulse), and on sampled envelopes where the flux varies, steps
-of at most ``_MAX_STEP`` with the envelope frozen at each step midpoint (a
-first-order scheme). On a piece the state moves by
+which ``H_eff`` is constant: the constant-flux intervals of
+:func:`photonstat.liouville.drive_intervals`, and on its linear-flux parts
+steps of at most ``_MAX_STEP`` with the envelope frozen at each step
+midpoint (a first-order scheme). On a piece the state moves by
 the closed-form exponential of the 2x2 generator, so work is done only per
 piece and per jump. Each round moves every trajectory still inside the
 piece, vectorized, either to the piece end or, where its norm would fall
@@ -44,6 +44,7 @@ from .liouville import (
     DriveSpec,
     decay_channels,
     drive_amplitude,
+    drive_intervals,
     effective_hamiltonian,
     total_decay_rate,
 )
@@ -297,16 +298,10 @@ class _Piece:
 def _pieces(spec: DriveSpec) -> list[_Piece]:
     """Constant-``H_eff`` pieces covering the counting window in order."""
     rate = total_decay_rate(spec.topology)
-    flux = spec.pulse.flux
     pieces = []
-    edges = spec.breakpoints()
-    for t0, t1 in zip(edges, edges[1:]):
-        if t1 <= t0:
-            continue
-        # the flux is linear between breakpoints: equal values at two
-        # interior points make it constant, and the interval one piece
-        constant = flux(0.75 * t0 + 0.25 * t1) == flux(0.25 * t0 + 0.75 * t1)
-        step = _MAX_PIECE_DECAYS / rate if constant else _MAX_STEP
+    for t0, t1, gen in drive_intervals(spec):
+        # a constant-flux interval is one piece unless it is very long
+        step = _MAX_PIECE_DECAYS / rate if gen is not None else _MAX_STEP
         n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
         h = (t1 - t0) / n
         for i in range(n):

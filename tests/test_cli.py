@@ -53,6 +53,12 @@ class TestSimulate:
         assert rc == 3
         assert "insufficient" in capsys.readouterr().err
 
+    def test_beyond_moment_inversion_exits_3(self, capsys):
+        rc = main(["simulate", "--T", "20", "--N", "400", "--method", "moments"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "N_1 = 5.176" in err and "cutoff cap k = 16" in err
+
     def test_all_methods_side_by_side(self, tmp_path):
         out = tmp_path / "all.csv"
         rc = main(["simulate", "--T", "0.1", "--N", "49.35", "--method", "all",
@@ -240,3 +246,19 @@ class TestGridFlagParsing:
         rc = main(["sweep", "--preset", "custom", "--N-grid", "0:10", "--T-grid", "0.1"])
         assert rc == 2
         assert "grid spec" in capsys.readouterr().err
+
+    def test_config_file_grid_strings(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "custom", "t_grid": "0.1,0.2", "n_grid": [1.0]}))
+        out = tmp_path / "g.csv"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.1, 1.0), (0.2, 1.0)]
+
+    def test_config_file_malformed_grid_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "custom", "t_grid": "0.1;0.2", "n_grid": [1.0]}))
+        rc = main(["sweep", "--config", str(cfg)])
+        assert rc == 2
+        assert "t_grid" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from scipy.integrate import simpson
 
 import photonstat as ps
 from conftest import TimeGrid, random_square_spec, time_grid
-from photonstat.counting import DUAL_TOLERANCE, MAX_CUTOFF
-from photonstat.errors import CutoffError, NumericalError, SpecError
+from photonstat.counting import DUAL_TOLERANCE, MAX_CUTOFF, NORMALIZATION_TOLERANCE
+from photonstat.errors import CutoffError, NumericalError, SpecError, TailError
 from photonstat.liouville import vectorize
 
 UNDRIVEN_EXCITED = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=20.0)
@@ -246,7 +246,7 @@ class TestPhotonStatistics:
 
 
 # Draw 9 of random_square_spec(default_rng(14)): inside the randomized suite's
-# domain, yet moment inversion returns a probability of -1.009e-08 there.
+# domain, and its top moment meets the tail tolerance only at k = 16.
 INVERSION_MARGIN_SPEC = ps.DriveSpec(
     ps.SquarePulse(T=4.506417878639353, N=75.97189519884036), ps.TwoLine(a=1.0))
 
@@ -257,13 +257,18 @@ class TestInversionMargin:
         assert stats.cutoff_k <= MAX_CUTOFF
         assert stats.tail_bound < 1e-6
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="inclusion-exclusion inversion runs out of margin")
     def test_moment_route_converges(self):
         stats = ps.photon_statistics(INVERSION_MARGIN_SPEC)
         ref = ps.photon_statistics(INVERSION_MARGIN_SPEC, method="jump-counting",
                                    k=stats.cutoff_k)
         assert np.max(np.abs(stats.probabilities - ref.probabilities)) < DUAL_TOLERANCE
+
+    def test_moment_route_beyond_cap_raises_tail_error(self):
+        # mean count ~5: the top moment is still 5e-3 at the cap
+        spec = ps.DriveSpec(ps.SquarePulse(T=20.0, N=400.0))
+        with pytest.raises(TailError, match=rf"N_{MAX_CUTOFF} = 5\.356e-03 .* "
+                                            rf"k = {MAX_CUTOFF} \(mean count N_1 = 5\.176\)"):
+            ps.photon_statistics(spec)
 
 
 # topology of either kind, detuned or not
@@ -309,3 +314,32 @@ class TestOnePhotonProbability:
         stacked = ps.one_photon_probability(topology, T, ns)
         alone = [ps.one_photon_probability(topology, T, [n])[0] for n in ns]
         assert np.array_equal(stacked, alone)
+
+
+@st.composite
+def sampled_specs(draw):
+    """Piecewise-linear envelopes like the benchmark's: 1-3 interior knots,
+    zero flux at both ends, duration <= 1 and at most 10 photons."""
+    knots = draw(st.integers(1, 3))
+    duration = draw(st.floats(0.05, 1.0))
+    inner = sorted(draw(st.lists(st.integers(1, 19), min_size=knots, max_size=knots,
+                                 unique=True)))
+    heights = np.array([0.0, *draw(st.lists(st.floats(0.5, 1.0), min_size=knots,
+                                             max_size=knots)), 0.0])
+    times = duration * np.array([0, *inner, 20]) / 20
+    area = float(np.sum(0.5 * (heights[1:] + heights[:-1]) * np.diff(times)))
+    photons = draw(st.floats(0.0, 10.0))
+    pulse = ps.SampledPulse(tuple(times), tuple(heights * (photons / area)))
+    return ps.DriveSpec(pulse, draw(TOPOLOGIES))
+
+
+class TestSampledEnvelopes:
+    @given(sampled_specs())
+    @settings(max_examples=20, deadline=None)
+    def test_routes_agree_and_distribution_is_normalized(self, spec):
+        moments = ps.photon_statistics(spec)
+        counting = ps.photon_statistics(spec, method="jump-counting", k=moments.cutoff_k)
+        assert np.max(np.abs(moments.probabilities - counting.probabilities)) <= DUAL_TOLERANCE
+        assert np.all(moments.probabilities >= 0.0)
+        assert np.all(counting.probabilities >= 0.0)
+        assert abs(1.0 - counting.probabilities.sum()) <= NORMALIZATION_TOLERANCE

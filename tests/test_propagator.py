@@ -5,6 +5,9 @@ from scipy.linalg import expm
 import photonstat as ps
 from conftest import random_density, time_grid
 from photonstat.errors import SpecError
+from photonstat.liouville import drive_intervals, liouvillian_parts
+from photonstat.propagator import _cf4, advance
+from photonstat.trajectories import _MAX_STEP, _pieces
 
 
 def reference_rk4(spec, rho0, t1, n_steps):
@@ -139,3 +142,84 @@ class TestEvolveState:
     def test_identity_propagator_at_zero_duration(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=5.0))
         assert np.array_equal(ps.propagator_between(spec, 0.3, 0.3), np.eye(4))
+
+
+# the acceptance ramp: onset, flat top, tail-off, undriven tail
+RAMP = ps.DriveSpec(ps.SampledPulse((0.0, 0.05, 0.15, 0.2), (0.0, 60.0, 60.0, 0.0)),
+                    t_end=1.0)
+
+
+def block_hierarchy(diag, feed, k):
+    """Dense generator of hierarchy levels 0..k, built independently of the package."""
+    return np.kron(np.eye(k + 1), diag) + np.kron(np.eye(k + 1, k=-1), feed)
+
+
+class TestSampledIntegrator:
+    def test_sampled_rectangle_equals_square_pulse(self):
+        T, N = 0.1, 30.0
+        square = ps.DriveSpec(ps.SquarePulse(T=T, N=N), t_end=5.0)
+        sampled = ps.DriveSpec(ps.SampledPulse((0.0, T), (N / T, N / T)), t_end=5.0)
+        for method in ("moment-inversion", "jump-counting"):
+            pa = ps.photon_statistics(square, method=method, k=5)
+            pb = ps.photon_statistics(sampled, method=method, k=5)
+            assert np.max(np.abs(pa.probabilities - pb.probabilities)) < 1e-12
+            assert np.max(np.abs(pa.moments - pb.moments)) < 1e-12
+        for t0, t1 in ((0.0, 5.0), (0.03, 0.07), (0.05, 2.0)):
+            diff = ps.propagator_between(square, t0, t1) - ps.propagator_between(sampled, t0, t1)
+            assert np.max(np.abs(diff)) < 1e-12
+
+    def test_flat_top_is_one_exponential(self):
+        t0, t1 = 0.05, 0.15
+        gen = ps.build_liouvillian(RAMP, 0.1)
+        exact = expm(gen * (t1 - t0))
+        assert np.max(np.abs(ps.propagator_between(RAMP, t0, t1) - exact)) < 1e-12
+        njump = ps.jump_superop(RAMP)
+        k = 4
+        y = np.random.default_rng(3).normal(size=4 * (k + 1)).astype(complex)
+        for resolved in (False, True):
+            diag = gen - njump if resolved else gen
+            expected = expm(block_hierarchy(diag, njump, k) * (t1 - t0)) @ y
+            got = advance(RAMP, y, t0, t1, 1e-9, njump, resolved)
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_cf4_is_fourth_order_on_the_onset(self):
+        # the onset [0, 0.05] has a square-root amplitude in t; in the graded
+        # variable halving the step still divides the difference by ~16
+        static, _ = liouvillian_parts(RAMP.topology)
+        njump = ps.jump_superop(RAMP)
+        k = 3
+        level0 = np.zeros(4 * (k + 1), dtype=complex)
+        level0[0] = 1.0
+        for base, jump, y in ((static, None, np.eye(4, dtype=complex)),
+                              (static - njump, njump, level0)):
+            runs = [_cf4(RAMP, base, jump, y, 0.0, 0.05, n) for n in (8, 16, 32)]
+            coarse = np.max(np.abs(runs[1] - runs[0]))
+            fine = np.max(np.abs(runs[2] - runs[1]))
+            assert coarse / fine >= 12
+
+    def test_partition_matches_trajectory_pieces(self):
+        specs = [
+            RAMP,
+            ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0)), ps.TwoLine(a=0.5)),
+            ps.DriveSpec(ps.SampledPulse((0.1, 0.2, 0.4), (5.0, 5.0, 20.0))),
+            ps.DriveSpec(ps.SquarePulse(T=0.1, N=49.35)),
+        ]
+        for spec in specs:
+            parts = drive_intervals(spec)
+            assert [p[0] for p in parts[1:]] == [p[1] for p in parts[:-1]]
+            assert (parts[0][0], parts[-1][1]) == (0.0, spec.t_end)
+            pieces = iter(_pieces(spec))
+            for t0, t1, gen in parts:
+                covered, inside = 0.0, []
+                while covered < (t1 - t0) * (1 - 1e-12):
+                    inside.append(next(pieces))
+                    covered += inside[-1].length
+                # a constant-flux interval is one constant-H_eff piece; a
+                # linear one is cut into midpoint-frozen steps
+                if gen is not None:
+                    assert len(inside) == 1
+                    assert np.array_equal(gen, ps.build_liouvillian(spec, 0.5 * (t0 + t1)))
+                else:
+                    assert len(inside) > 1
+                    assert max(p.length for p in inside) <= _MAX_STEP * (1 + 1e-12)
+            assert next(pieces, None) is None
