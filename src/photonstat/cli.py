@@ -176,19 +176,14 @@ def cmd_simulate(config: RunConfig) -> int:
     rho0 = config.initial_density()
     want = {config.method} if config.method != "all" else {"moments", "counting", "trajectories"}
 
-    stats_m = stats_c = None
-    hist = None
+    stats_m = stats_c = hist = None
     if "moments" in want:
         stats_m = photon_statistics(spec, "moment-inversion", k=config.k, rho0=rho0)
     if "counting" in want:
-        k_common = config.k if config.k is not None else (
-            stats_m.cutoff_k if stats_m is not None else None)
-        stats_c = photon_statistics(spec, "jump-counting", k=k_common, rho0=rho0)
+        stats_c = (verify_dual(spec, stats_m, rho0) if stats_m is not None
+                   else photon_statistics(spec, "jump-counting", k=config.k, rho0=rho0))
     if "trajectories" in want:
         hist = _run_trajectories(config, spec)
-
-    if stats_m is not None and stats_c is not None:
-        verify_dual(stats_m, stats_c)
 
     header = ["n"]
     if stats_m is not None:

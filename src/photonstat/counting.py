@@ -287,14 +287,16 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     raise SpecError(f"unknown method {method!r}")
 
 
-def verify_dual(moments: PhotonStats, counting: PhotonStats, where: str = "") -> None:
-    """Raise :class:`NumericalError` unless the two deterministic routes agree.
+def verify_dual(spec: DriveSpec, moments: PhotonStats, rho0=None,
+                where: str = "") -> PhotonStats:
+    """Jump-counting statistics of ``spec`` from ``rho0`` at the cutoff of ``moments``.
 
-    ``moments`` and ``counting`` are the moment-inversion and jump-counting
-    results at the same cutoff; their probabilities must agree
-    componentwise to ``DUAL_TOLERANCE``.
+    Raises :class:`NumericalError`, naming ``where``, unless they agree with
+    the moment-inversion result ``moments`` componentwise to ``DUAL_TOLERANCE``.
     """
+    counting = photon_statistics(spec, "jump-counting", k=moments.cutoff_k, rho0=rho0)
     gap = float(np.max(np.abs(moments.probabilities - counting.probabilities)))
     if gap > DUAL_TOLERANCE:
         raise NumericalError(f"moment-inversion and jump-counting disagree by {gap:.3e}"
                              + (f" at {where}" if where else ""))
+    return counting

@@ -50,6 +50,8 @@ _STACK_STEPS = 4
 # this value the first halved-step check passes on most parts of 1-3 knot
 # envelopes, and below ~0.1 most parts need a second round.
 _FIRST_STEPS = 0.12
+# End-flux ratio below which a linear-flux part is graded (see _graded_drive).
+_GRADE_RATIO = 1e-3
 
 
 def validate_density(rho) -> np.ndarray:
@@ -117,10 +119,11 @@ def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray | None, k: int,
 def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
     """Drive amplitude and ``dt/ds`` at ``s`` in [0, 1] on the linear-flux part [t0, t1].
 
-    The variable is graded quadratically toward a flux zero at either end.
-    The drive amplitude is the square root of the flux, so an envelope
-    onset or tail-off has infinite slope in t and degrades a fourth-order
-    method; t = t0 + L s^2 makes the amplitude linear in s again.
+    The variable is graded quadratically toward an end whose flux is below
+    ``_GRADE_RATIO`` of the other's. The drive amplitude is the square root
+    of the flux, so a fall to zero or near-zero flux has an (almost) infinite
+    slope in t and degrades a fourth-order method; t = t0 + L s^2 makes the
+    amplitude smooth in s again.
     """
     length = t1 - t0
     flux = spec.pulse.flux
@@ -130,12 +133,11 @@ def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
     slope = (flux(t0 + 0.75 * length) - mid) / (0.25 * length)
     fa = mid - 0.5 * slope * length
     fb = mid + 0.5 * slope * length
-    tiny = 1e-9 * (abs(mid) + 1.0)
-    if min(fa, fb) < -tiny:
+    if min(fa, fb) < -1e-9 * (abs(mid) + 1.0):
         raise SpecError(f"drive flux must be non-negative, got N_in = {min(fa, fb)}")
-    if fa <= tiny < fb:
+    if fa < _GRADE_RATIO * fb:
         u, du = s * s, 2.0 * s
-    elif fb <= tiny < fa:
+    elif fb < _GRADE_RATIO * fa:
         u, du = 1.0 - (1.0 - s) ** 2, 2.0 * (1.0 - s)
     else:
         u, du = s, np.ones_like(s)

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    MAX_CUTOFF,
-    START_CUTOFF,
-    TAIL_TOLERANCE,
-    PhotonStats,
-    one_photon_probability,
-    photon_statistics,
-    verify_dual,
-)
+from .counting import PhotonStats, one_photon_probability, photon_statistics, verify_dual
 from .errors import SpecError
 from .liouville import DriveSpec, SingleLine, SquarePulse, TwoLine, Topology
 
@@ -151,22 +143,10 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Grid axes by name and one record per grid point, in grid order."""
+
     axes: dict
     records: tuple[SweepRecord, ...]
-    metadata: dict
-
-
-def _metadata(topology_name: str, k: int | None, **extra) -> dict:
-    md = {
-        "topology": topology_name,
-        "window_policy": "t_end = pulse end + 12 / total decay rate",
-        "cutoff_policy": f"fixed k={k}" if k is not None
-                         else f"adaptive k in {START_CUTOFF}..{MAX_CUTOFF}, "
-                              f"top moment < {TAIL_TOLERANCE:g}",
-        "dual_check_fraction": _CHECK_FRACTION,
-    }
-    md.update(extra)
-    return md
 
 
 def _fixed_point(topology: Topology, T: float, N: float, k: int | None,
@@ -175,8 +155,8 @@ def _fixed_point(topology: Topology, T: float, N: float, k: int | None,
     stats = photon_statistics(spec, k=k)
     a = topology.a if isinstance(topology, TwoLine) else None
     if check:
-        verify_dual(stats, photon_statistics(spec, method="jump-counting", k=stats.cutoff_k),
-                    ("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
+        verify_dual(spec, stats,
+                    where=("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
     return SweepRecord(T=T, N=N, a=a, stats=stats)
 
 
@@ -184,10 +164,8 @@ def _two_line_point(topology: TwoLine, T: float, k: int | None,
                      check: bool) -> SweepRecord:
     best = maximize_p1(topology, T, k=k)
     if check:
-        spec = _spec_for(topology, T, best.n_star)
-        verify_dual(best.stats, photon_statistics(spec, method="jump-counting",
-                                                  k=best.stats.cutoff_k),
-                    f"a={topology.a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
+        verify_dual(_spec_for(topology, T, best.n_star), best.stats,
+                    where=f"a={topology.a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
     return SweepRecord(T=T, N=best.n_star, a=topology.a, stats=best.stats,
                        n_star=best.n_star, at_boundary=best.at_boundary)
 
@@ -227,8 +205,7 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     points = [(topology, float(T), float(N), k, bool(checks[i * len(N_grid) + j]))
               for i, T in enumerate(T_grid) for j, N in enumerate(N_grid)]
     records = _run_points(_fixed_point, points, workers)
-    return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records,
-                       metadata=_metadata("single", k, delta=delta))
+    return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records)
 
 
 def sweep_two_line_slices(a_values, T: float, points: int = 120,
@@ -249,9 +226,7 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120,
                         bool(checks[i * points + j])))
     records = _run_points(_fixed_point, pts, workers)
     return SweepResult(axes={"a": np.asarray(a_values), "T": np.asarray([T])},
-                       records=records,
-                       metadata=_metadata("two", k, delta=delta, slice_points=points,
-                                          slice_span=_SLICE_SPAN))
+                       records=records)
 
 
 def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
@@ -270,7 +245,4 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
                bool(checks[i * len(T_grid) + j]))
               for i, a in enumerate(a_grid) for j, T in enumerate(T_grid)]
     records = _run_points(_two_line_point, points, workers)
-    return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records,
-                       metadata=_metadata("two", k, delta=delta,
-                                          objective="exact P1 over N (levels 0-1 of "
-                                                    "the jump-resolved hierarchy)"))
+    return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records)

@@ -59,6 +59,8 @@ _MAX_PIECE_DECAYS = 100.0
 # Crossing times are converged to this fraction of the piece length.
 _CROSSING_TOL = 1e-13
 _CROSSING_ITERS = 100
+# Trajectories advanced together as one array; results do not depend on it.
+_CHUNK = 4096
 
 _M32 = 0xFFFFFFFF
 # numpy's SeedSequence: a pool of four 32-bit words and its hash constants
@@ -327,8 +329,7 @@ def _normalize_psi0(psi0) -> tuple[complex, complex]:
     return complex(psi[0]), complex(psi[1])
 
 
-def sample_trajectory_range(spec: DriveSpec, seed: int, start: int, stop: int,
-                            psi0=None, chunk_size: int = 4096):
+def sample_trajectory_range(spec: DriveSpec, seed: int, start: int, stop: int, psi0=None):
     """Raw counts for trajectory indices ``[start, stop)``.
 
     Returns ``(histogram, monitored_total, other_total)``. The histogram of
@@ -349,8 +350,8 @@ def sample_trajectory_range(spec: DriveSpec, seed: int, start: int, stop: int,
     mon_grand = 0
     other_grand = 0
 
-    for lo in range(start, stop, chunk_size):
-        hi = min(lo + chunk_size, stop)
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
         m = hi - lo
         streams = _Streams(seed, np.arange(lo, hi, dtype=np.uint64))
         thr = streams.next(np.arange(m))
@@ -371,8 +372,7 @@ def sample_trajectory_range(spec: DriveSpec, seed: int, start: int, stop: int,
     return hist, mon_grand, other_grand
 
 
-def sample_trajectories(spec: DriveSpec, n_traj: int, seed: int,
-                        psi0=None, chunk_size: int = 4096) -> TrajectoryResult:
+def sample_trajectories(spec: DriveSpec, n_traj: int, seed: int, psi0=None) -> TrajectoryResult:
     """Monte Carlo estimate of the monitored count distribution.
 
     Parameters
@@ -390,8 +390,7 @@ def sample_trajectories(spec: DriveSpec, n_traj: int, seed: int,
     """
     if n_traj < 1:
         raise SpecError(f"need n_traj >= 1, got {n_traj}")
-    hist, mon_total, other_total = sample_trajectory_range(
-        spec, seed, 0, n_traj, psi0=psi0, chunk_size=chunk_size)
+    hist, mon_total, other_total = sample_trajectory_range(spec, seed, 0, n_traj, psi0=psi0)
     names = [c.name for c in decay_channels(spec)]
     totals = {names[0]: mon_total / n_traj, names[1]: other_total / n_traj}
     return TrajectoryResult(n_traj=n_traj, counts=hist,

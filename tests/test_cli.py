@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from photonstat import counting
 from photonstat.cli import RunConfig, main
 from photonstat.errors import ConfigError
 
@@ -52,6 +53,13 @@ class TestSimulate:
                    "--k", "1"])
         assert rc == 3
         assert "insufficient" in capsys.readouterr().err
+
+    def test_route_disagreement_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(counting, "DUAL_TOLERANCE", -1.0)
+        rc = main(["simulate", "--T", "0.1", "--N", "49.35", "--method", "all",
+                   "--n-traj", "100"])
+        assert rc == 3
+        assert "disagree" in capsys.readouterr().err
 
     def test_beyond_moment_inversion_exits_3(self, capsys):
         rc = main(["simulate", "--T", "20", "--N", "400", "--method", "moments"])

@@ -11,7 +11,12 @@ from scipy.integrate import simpson
 
 import photonstat as ps
 from conftest import TimeGrid, random_square_spec, time_grid
-from photonstat.counting import DUAL_TOLERANCE, MAX_CUTOFF, NORMALIZATION_TOLERANCE
+from photonstat.counting import (
+    DUAL_TOLERANCE,
+    MAX_CUTOFF,
+    NORMALIZATION_TOLERANCE,
+    verify_dual,
+)
 from photonstat.errors import CutoffError, NumericalError, SpecError, TailError
 from photonstat.liouville import vectorize
 
@@ -186,6 +191,15 @@ class TestCountingDistribution:
             assert np.max(np.abs(sm.probabilities - sc.probabilities)) < 1e-6
 
 
+# the domain of conftest.random_square_spec
+SQUARE_SPECS = st.builds(
+    ps.DriveSpec,
+    st.builds(ps.SquarePulse, T=st.floats(0.05, 5.0), N=st.floats(0.0, 100.0)),
+    st.one_of(st.sampled_from([ps.SingleLine(delta=d) for d in (0.0, 0.5, -0.5, 2.0, -2.0)]),
+              st.sampled_from([ps.TwoLine(a=a) for a in (0.01, 0.1, 0.5, 1.0)])),
+)
+
+
 class TestPhotonStatistics:
     def test_distribution_invariants(self):
         stats = ps.photon_statistics(PI_PULSE)
@@ -218,6 +232,15 @@ class TestPhotonStatistics:
             pb = ps.photon_statistics(wide).probabilities
             upto = min(len(pa), len(pb))
             assert np.max(np.abs(pa[:upto] - pb[:upto])) < 1e-5
+
+    @given(SQUARE_SPECS)
+    @settings(max_examples=30, deadline=None)
+    def test_window_doubling_jump_counting(self, spec):
+        wide = replace(spec, t_end=2 * spec.t_end)
+        pa = ps.photon_statistics(spec, method="jump-counting").probabilities
+        pb = ps.photon_statistics(wide, method="jump-counting").probabilities
+        n = max(len(pa), len(pb))
+        assert np.max(np.abs(np.pad(pa, (0, n - len(pa))) - np.pad(pb, (0, n - len(pb))))) < 1e-5
 
     def test_jump_route_reports_method_and_tail(self):
         stats = ps.photon_statistics(PI_PULSE, method="jump-counting")
@@ -262,6 +285,14 @@ class TestInversionMargin:
         ref = ps.photon_statistics(INVERSION_MARGIN_SPEC, method="jump-counting",
                                    k=stats.cutoff_k)
         assert np.max(np.abs(stats.probabilities - ref.probabilities)) < DUAL_TOLERANCE
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="inversion yields P_n = -9.867e-09 at the cutoff cap")
+    def test_moment_route_converges_at_domain_corner(self):
+        # T and N at the top of the randomized suite's domain; jump counting
+        # converges here at k = 12
+        spec = ps.DriveSpec(ps.SquarePulse(T=5.0, N=100.0), ps.TwoLine(a=1.0))
+        verify_dual(spec, ps.photon_statistics(spec))
 
     def test_moment_route_beyond_cap_raises_tail_error(self):
         # mean count ~5: the top moment is still 5e-3 at the cap
@@ -331,6 +362,20 @@ def sampled_specs(draw):
     photons = draw(st.floats(0.0, 10.0))
     pulse = ps.SampledPulse(tuple(times), tuple(heights * (photons / area)))
     return ps.DriveSpec(pulse, draw(TOPOLOGIES))
+
+
+class TestVerifyDual:
+    def test_returns_counting_route_at_the_moment_cutoff(self):
+        moments = ps.photon_statistics(PI_PULSE, k=6)
+        counting = verify_dual(PI_PULSE, moments)
+        expected = ps.photon_statistics(PI_PULSE, method="jump-counting", k=6)
+        assert counting.method == "jump-counting" and counting.cutoff_k == 6
+        assert np.array_equal(counting.probabilities, expected.probabilities)
+
+    def test_passes_the_initial_state_on(self):
+        moments = ps.photon_statistics(UNDRIVEN_EXCITED, rho0=ps.EXCITED)
+        counting = verify_dual(UNDRIVEN_EXCITED, moments, rho0=ps.EXCITED)
+        assert counting.probabilities[1] == pytest.approx(0.5, abs=1e-6)
 
 
 class TestSampledEnvelopes:

@@ -4,6 +4,8 @@ from scipy.linalg import expm
 
 import photonstat as ps
 from conftest import random_density, time_grid
+from photonstat import propagator
+from photonstat.counting import verify_dual
 from photonstat.errors import SpecError
 from photonstat.liouville import drive_intervals, liouvillian_parts
 from photonstat.propagator import _cf4, advance
@@ -196,6 +198,23 @@ class TestSampledIntegrator:
             coarse = np.max(np.abs(runs[1] - runs[0]))
             fine = np.max(np.abs(runs[2] - runs[1]))
             assert coarse / fine >= 12
+
+    def test_small_nonzero_end_is_graded(self, monkeypatch):
+        # [0.5, 1] falls from 30 to 2e-3: its amplitude has a near-infinite
+        # slope at t = 1 unless the variable is graded toward that end
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (1e-12, 30.0, 2e-3)),
+                            ps.SingleLine(delta=2.0))
+        steps = []
+
+        def recording_cf4(spec, base, njump, y, t0, t1, n):
+            steps.append((t0, t1, n))
+            return _cf4(spec, base, njump, y, t0, t1, n)
+
+        monkeypatch.setattr(propagator, "_cf4", recording_cf4)
+        moments = ps.photon_statistics(spec)
+        verify_dual(spec, moments)
+        tail_steps = [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)]
+        assert tail_steps and max(tail_steps) < 1000
 
     def test_partition_matches_trajectory_pieces(self):
         specs = [

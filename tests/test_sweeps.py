@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import photonstat as ps
-from photonstat import sweeps
-from photonstat.errors import SpecError
+from photonstat import counting, sweeps
+from photonstat.errors import NumericalError, SpecError
 from photonstat.sweeps import _golden_max
 
 
@@ -115,6 +115,15 @@ class TestSweepSingleLine:
             ps.sweep_single_line(T_grid=[0.0, 0.1], N_grid=[1.0])
         with pytest.raises(SpecError):
             ps.sweep_single_line(T_grid=[0.1], N_grid=[-1.0])
+
+    def test_failed_dual_check_names_the_point(self, monkeypatch):
+        # of 24 points, the check mask selects only the 22nd
+        n_grid = np.linspace(0.0, 120.0, 24)
+        assert np.flatnonzero(sweeps._check_mask(len(n_grid))).tolist() == [21]
+        monkeypatch.setattr(counting, "DUAL_TOLERANCE", -1.0)
+        with pytest.raises(NumericalError, match=rf"disagree by .* at T=0\.5, "
+                                                 rf"N={n_grid[21]:.6g}$"):
+            ps.sweep_single_line(T_grid=[0.5], N_grid=n_grid)
 
 
 class TestSweepTwoLine:

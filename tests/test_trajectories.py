@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import photonstat as ps
+from photonstat import trajectories
 from photonstat.errors import SpecError
 from photonstat.trajectories import _Piece, _Streams
 
@@ -152,9 +153,10 @@ class TestReproducibility:
         assert np.array_equal(a.counts, b.counts)
         assert a.per_channel_totals == b.per_channel_totals
 
-    def test_chunk_size_does_not_change_results(self):
-        a = ps.sample_trajectories(PI_PULSE, 3000, seed=42, chunk_size=4096)
-        b = ps.sample_trajectories(PI_PULSE, 3000, seed=42, chunk_size=271)
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        a = ps.sample_trajectories(PI_PULSE, 3000, seed=42)
+        monkeypatch.setattr(trajectories, "_CHUNK", 271)
+        b = ps.sample_trajectories(PI_PULSE, 3000, seed=42)
         assert np.array_equal(a.counts, b.counts)
 
     def test_range_merge_equals_full_run(self):
