@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -69,10 +70,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        hints = typing.get_type_hints(cls)
+        names = {f.name: f.type for f in fields(cls)}
+        for key, value in data.items():
+            if key not in hints:
                 raise ConfigError(f"unknown config key: {key!r}")
+            if not _has_type(value, hints[key]):
+                raise ConfigError(f"config key {key!r} must be {names[key]}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -98,11 +102,17 @@ class RunConfig:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for name in ("t_grid", "n_grid", "a_grid"):
+            if (grid := getattr(self, name)) is not None and len(grid) == 0:
+                raise ConfigError(f"{name} must not be empty")
 
     def drive_spec(self) -> DriveSpec:
         if self.pulse == "sampled":
-            if not self.samples:
-                raise ConfigError("sampled pulse requires a 'samples' list of [t, flux] pairs")
+            pairs = all(isinstance(s, list) and len(s) == 2
+                        and all(_has_type(v, float) for v in s) for s in self.samples or [])
+            if not self.samples or not pairs:
+                raise ConfigError("sampled pulse requires a 'samples' list of [t, flux] pairs, "
+                                  f"got {self.samples!r}")
             times = [s[0] for s in self.samples]
             values = [s[1] for s in self.samples]
             pulse = SampledPulse(tuple(times), tuple(values))
@@ -119,6 +129,17 @@ class RunConfig:
 
     def initial_amplitudes(self):
         return (0.0, 1.0) if self.initial == "excited" else (1.0, 0.0)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value fits its field: an int passes for a float, a
+    bool for nothing but a bool."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +269,14 @@ def cmd_sweep(config: RunConfig) -> int:
     elif preset == "fig5":
         result = sweep_two_line(k=config.k, delta=config.delta, workers=workers)
     elif preset == "custom":
+        t_grid = DEFAULT_T_GRID if config.t_grid is None else config.t_grid
         if config.a_grid is not None:
-            result = sweep_two_line(a_grid=config.a_grid,
-                                    T_grid=config.t_grid or DEFAULT_T_GRID,
+            result = sweep_two_line(a_grid=config.a_grid, T_grid=t_grid,
                                     k=config.k, delta=config.delta, workers=workers)
         elif config.t_grid is not None or config.n_grid is not None:
-            result = sweep_single_line(T_grid=config.t_grid or DEFAULT_T_GRID,
-                                       N_grid=config.n_grid or DEFAULT_N_GRID,
+            result = sweep_single_line(T_grid=t_grid,
+                                       N_grid=DEFAULT_N_GRID if config.n_grid is None
+                                       else config.n_grid,
                                        k=config.k, delta=config.delta, workers=workers)
         else:
             raise ConfigError("custom sweep needs t_grid/n_grid or a_grid")
@@ -309,7 +331,9 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) not in (3, 4):
             raise ConfigError(f"grid spec {text!r} is not lo:hi:count[:log]")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if len(parts) == 4 and parts[3] == "log":
+        if parts[3:] not in ([], ["log"]) or count < 1:
+            raise ConfigError(f"grid spec {text!r} is not lo:hi:count[:log] with count >= 1")
+        if parts[3:]:
             return list(np.logspace(math.log10(lo), math.log10(hi), count))
         return list(np.linspace(lo, hi, count))
     return [float(v) for v in text.split(",")]
@@ -326,24 +350,28 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with flat config keys")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int)
+        p.add_argument("--T", type=float, help="pulse width (relaxation times)")
+        p.add_argument("--delta", type=float, help="detuning")
+        p.add_argument("--k", type=int, help="photon-number cutoff")
+
+    def one_drive(p):
+        common(p)
+        p.add_argument("--seed", type=int)
         p.add_argument("--topology", choices=["single", "two"])
         p.add_argument("--pulse", choices=["square", "sampled"])
-        p.add_argument("--T", type=float, help="pulse width (relaxation times)")
         p.add_argument("--N", type=float, help="mean photon number in the pulse")
-        p.add_argument("--delta", type=float, help="detuning")
         p.add_argument("--a", type=float, help="two-line coupling ratio")
         p.add_argument("--window", type=float, help="counting window override")
         p.add_argument("--initial", choices=["ground", "excited"])
-        p.add_argument("--k", type=int, help="photon-number cutoff")
 
     sim = sub.add_parser("simulate", help="count statistics for one drive")
-    common(sim)
+    one_drive(sim)
     sim.add_argument("--method", choices=["moments", "counting", "trajectories", "all"])
     sim.add_argument("--n-traj", type=int, dest="n_traj")
 
-    swp = sub.add_parser("sweep", help="parameter sweeps")
+    # no prefix matching, which would read --N and --a as --N-grid and --a-grid
+    swp = sub.add_parser("sweep", help="parameter sweeps", allow_abbrev=False)
     common(swp)
     swp.add_argument("--preset", choices=["fig2", "fig3", "fig4", "fig5", "custom"])
     swp.add_argument("--T-grid", dest="t_grid", help="'a,b,c' or 'lo:hi:count[:log]'")
@@ -351,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--a-grid", dest="a_grid", help="'a,b,c' or 'lo:hi:count[:log]'")
 
     trj = sub.add_parser("traj", help="Monte Carlo trajectory histogram")
-    common(trj)
+    one_drive(trj)
     trj.add_argument("--n-traj", type=int, dest="n_traj")
     trj.add_argument("--compare", action="store_true", default=None,
                      help="append jump-counting columns and z-scores")

@@ -94,53 +94,40 @@ class PhotonStats:
 # ---------------------------------------------------------------------------
 # Hierarchy integration
 
-def _initial_state(rho0) -> np.ndarray:
-    return GROUND if rho0 is None else validate_density(rho0)
-
-
-def _hierarchy_endpoint(spec: DriveSpec, rho0, njump: np.ndarray,
-                        k: int, resolved: bool) -> np.ndarray:
-    """Levels 0..k of the hierarchy at t_end, shape (k+1, 4)."""
+def _level_traces(spec: DriveSpec, k: int, rho0, resolved: bool) -> np.ndarray:
+    """Traces of hierarchy levels 0..k at t_end, from ``rho0`` (default ``|g><g|``)."""
+    if k < 1:
+        raise SpecError(f"cutoff must satisfy k >= 1, got {k}")
     y = np.zeros(4 * (k + 1), dtype=complex)
-    y[:4] = vectorize(_initial_state(rho0))
+    y[:4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
     # per-part error budget; endpoint errors propagate non-expansively
     tol = TAIL_TOLERANCE / (len(spec.breakpoints()) - 1)
-    return advance(spec, y, 0.0, spec.t_end, tol, njump, resolved).reshape(k + 1, 4)
-
-
-def _level_traces(levels: np.ndarray) -> np.ndarray:
+    levels = advance(spec, y, 0.0, spec.t_end, tol, resolved).reshape(k + 1, 4)
     return (levels[:, 0] + levels[:, 3]).real
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 
-def binomial_moments(spec: DriveSpec, njump: np.ndarray, k: int, rho0=None) -> np.ndarray:
+def binomial_moments(spec: DriveSpec, k: int, rho0=None) -> np.ndarray:
     """Binomial moments 1..k of the monitored count distribution.
 
     Returns ``[N_1, ..., N_k]`` where ``N_m`` is the ordered m-fold
     coincidence integral over the counting window, starting from ``rho0``
     (default ``|g><g|``).
     """
-    if k < 1:
-        raise SpecError(f"cutoff must satisfy k >= 1, got {k}")
-    levels = _hierarchy_endpoint(spec, rho0, njump, k, resolved=False)
-    vals = _level_traces(levels)[1:]
+    vals = _level_traces(spec, k, rho0, resolved=False)[1:]
     return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
 
 
-def counting_distribution(spec: DriveSpec, njump: np.ndarray, n_max: int,
-                          rho0=None) -> np.ndarray:
+def counting_distribution(spec: DriveSpec, n_max: int, rho0=None) -> np.ndarray:
     """Count probabilities ``P_0 .. P_n_max`` by jump-resolved propagation.
 
     Starts from ``rho0`` (default ``|g><g|``). Raises :class:`CutoffError`
     when more than ``NORMALIZATION_TOLERANCE`` of the probability lies
     beyond ``n_max``.
     """
-    if n_max < 1:
-        raise SpecError(f"cutoff must satisfy n_max >= 1, got {n_max}")
-    levels = _hierarchy_endpoint(spec, rho0, njump, n_max, resolved=True)
-    probs = _clamp_probabilities(_level_traces(levels))
+    probs = _clamp_probabilities(_level_traces(spec, n_max, rho0, resolved=True))
     missing = 1.0 - probs.sum()
     if missing > NORMALIZATION_TOLERANCE:
         raise CutoffError(
@@ -186,10 +173,11 @@ def moments_from_probabilities(probs, k: int) -> np.ndarray:
     ])
 
 
-def correlator(spec: DriveSpec, njump: np.ndarray, times, rho0=None) -> float:
+def correlator(spec: DriveSpec, times, rho0=None) -> float:
     """Time-ordered m-point intensity correlator at the given times.
 
-    Evaluates ``trace(njump P(t_m, t_{m-1}) ... njump rho(t_1))`` for
+    With ``njump = jump_superop(spec)``, evaluates
+    ``trace(njump P(t_m, t_{m-1}) ... njump rho(t_1))`` for
     non-decreasing times inside the window, starting from ``rho0`` (default
     ``|g><g|``). Vanishes identically whenever two times coincide, since
     ``njump @ njump = 0``.
@@ -199,7 +187,9 @@ def correlator(spec: DriveSpec, njump: np.ndarray, times, rho0=None) -> float:
         raise SpecError(f"correlation times must be non-decreasing, got {times}")
     if times[0] < 0 or times[-1] > spec.t_end:
         raise SpecError("correlation times must lie inside the counting window")
-    v = propagator_between(spec, 0.0, times[0]) @ vectorize(_initial_state(rho0))
+    njump = jump_superop(spec)
+    v = propagator_between(spec, 0.0, times[0]) @ vectorize(
+        GROUND if rho0 is None else validate_density(rho0))
     v = njump @ v
     for t0, t1 in zip(times, times[1:]):
         v = njump @ (propagator_between(spec, t0, t1) @ v)
@@ -252,39 +242,30 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     respectively :class:`CutoffError`. A ``rho0`` other than the default
     ``|g><g|`` is checked by ``validate_density``.
     """
-    njump = jump_superop(spec)
-
-    if method == "moment-inversion":
-        cutoff = k if k is not None else START_CUTOFF
-        moments = binomial_moments(spec, njump, cutoff, rho0)
-        if k is None:
-            while moments[-1] >= TAIL_TOLERANCE and cutoff < MAX_CUTOFF:
-                cutoff = min(cutoff + 2, MAX_CUTOFF)
-                moments = binomial_moments(spec, njump, cutoff, rho0)
-            if moments[-1] >= TAIL_TOLERANCE:
-                raise TailError(
-                    f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
-                    f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
-                    f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
-        probs = invert_moments(moments)
-        return PhotonStats(moments=moments, probabilities=probs, cutoff_k=cutoff,
-                           tail_bound=float(moments[-1]), method=method)
-
-    if method == "jump-counting":
-        cutoff = k if k is not None else START_CUTOFF
-        while True:
-            try:
-                probs = counting_distribution(spec, njump, cutoff, rho0)
-                break
-            except CutoffError:
-                if k is not None or cutoff >= MAX_CUTOFF:
-                    raise
-                cutoff = min(cutoff + 2, MAX_CUTOFF)
-        moments = moments_from_probabilities(probs, cutoff)
-        return PhotonStats(moments=moments, probabilities=probs, cutoff_k=cutoff,
+    if method not in ("moment-inversion", "jump-counting"):
+        raise SpecError(f"unknown method {method!r}")
+    ladder = (k,) if k is not None else range(START_CUTOFF, MAX_CUTOFF + 1, 2)
+    for cutoff in ladder:
+        if method == "moment-inversion":
+            moments = binomial_moments(spec, cutoff, rho0)
+            if k is not None or moments[-1] < TAIL_TOLERANCE:
+                return PhotonStats(moments=moments, probabilities=invert_moments(moments),
+                                   cutoff_k=cutoff, tail_bound=float(moments[-1]),
+                                   method=method)
+            continue
+        try:
+            probs = counting_distribution(spec, cutoff, rho0)
+        except CutoffError:
+            if cutoff == ladder[-1]:
+                raise
+            continue
+        return PhotonStats(moments=moments_from_probabilities(probs, cutoff),
+                           probabilities=probs, cutoff_k=cutoff,
                            tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
-
-    raise SpecError(f"unknown method {method!r}")
+    raise TailError(
+        f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
+        f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
+        f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
 
 
 def verify_dual(spec: DriveSpec, moments: PhotonStats, rho0=None,

@@ -67,6 +67,11 @@ EXCITED = _locked([[0, 0], [0, 1]])       # |e><e|
 # ---------------------------------------------------------------------------
 # Drive envelopes and topologies
 
+def _check_detuning(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise SpecError(f"detuning must be finite, got delta={delta}")
+
+
 @dataclass(frozen=True)
 class SquarePulse:
     """Rectangular envelope: flux ``N/T`` on ``[0, T)``, zero elsewhere.
@@ -74,19 +79,19 @@ class SquarePulse:
     Parameters
     ----------
     T : float
-        Pulse width in relaxation-time units, > 0.
+        Pulse width in relaxation-time units, finite and > 0.
     N : float
-        Total mean photon number in the pulse, >= 0.
+        Total mean photon number in the pulse, finite and >= 0.
     """
 
     T: float
     N: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise SpecError(f"pulse width must satisfy T > 0, got T={self.T}")
-        if self.N < 0:
-            raise SpecError(f"photon number must satisfy N >= 0, got N={self.N}")
+        if not 0 < self.T < math.inf:
+            raise SpecError(f"pulse width must satisfy 0 < T < inf, got T={self.T}")
+        if not 0 <= self.N < math.inf:
+            raise SpecError(f"photon number must satisfy 0 <= N < inf, got N={self.N}")
 
     @property
     def end(self) -> float:
@@ -105,7 +110,8 @@ class SampledPulse:
     """Envelope given by samples ``(t_i, flux_i)`` with linear interpolation.
 
     Outside the sampled range the flux is zero; a nonzero first or last
-    sample therefore produces a step discontinuity at that knot.
+    sample therefore produces a step discontinuity at that knot. All
+    samples must be finite.
     """
 
     times: tuple[float, ...]
@@ -118,6 +124,9 @@ class SampledPulse:
             raise SpecError("sample times and values must have equal length")
         if len(times) < 2:
             raise SpecError("a sampled envelope needs at least two samples")
+        for name, seq in (("times", times), ("values", values)):
+            if not all(map(math.isfinite, seq)):
+                raise SpecError(f"sample {name} must be finite, got {seq}")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise SpecError("sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -141,10 +150,13 @@ class SampledPulse:
 class SingleLine:
     """Emitter in an infinite line; the reflected field is monitored.
 
-    ``delta`` is the drive detuning in units of the relaxation rate.
+    ``delta`` is the drive detuning in units of the relaxation rate, finite.
     """
 
     delta: float = 0.0
+
+    def __post_init__(self):
+        _check_detuning(self.delta)
 
 
 @dataclass(frozen=True)
@@ -161,6 +173,7 @@ class TwoLine:
     def __post_init__(self):
         if not 0 < self.a <= 1:
             raise SpecError(f"coupling ratio must satisfy 0 < a <= 1, got a={self.a}")
+        _check_detuning(self.delta)
 
 
 Pulse = SquarePulse | SampledPulse
@@ -186,7 +199,8 @@ class DriveSpec:
 
     Combines the drive envelope, the line topology, and the counting window
     ``[0, t_end]``. When ``t_end`` is omitted it defaults to the pulse end
-    plus 12 decay constants of the total emission rate.
+    plus 12 decay constants of the total emission rate; a given ``t_end``
+    must be finite.
     """
 
     pulse: Pulse
@@ -196,6 +210,8 @@ class DriveSpec:
     def __post_init__(self):
         if self.t_end is None:
             object.__setattr__(self, "t_end", default_window(self.pulse, self.topology))
+        if not math.isfinite(self.t_end):
+            raise SpecError(f"counting window must be finite, got t_end={self.t_end}")
         if self.t_end < self.pulse.end:
             raise SpecError(
                 f"counting window t_end={self.t_end} must contain the pulse "

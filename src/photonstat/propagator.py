@@ -26,6 +26,7 @@ from .liouville import (
     devectorize,
     drive_coefficient,
     drive_intervals,
+    jump_superop,
     liouvillian_parts,
     vectorize,
 )
@@ -90,7 +91,7 @@ def expm_interval(gen: np.ndarray, dt: float) -> np.ndarray:
     return _expm_cached(gen.tobytes(), gen.shape[0], float(dt))
 
 
-def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray | None, k: int) -> np.ndarray:
+def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray, k: int) -> np.ndarray:
     """Block lower-bidiagonal generator of levels 0..k, broadcast over the
     leading axes of ``diag`` (shape ``(..., 4, 4)``)."""
     dim = 4 * (k + 1)
@@ -102,7 +103,7 @@ def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray | None, k: int) -> np.n
     return big
 
 
-def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray | None, k: int,
+def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray, k: int,
                           dt: float) -> np.ndarray:
     """Exponential over ``dt`` of the hierarchy generator of levels 0..k.
 
@@ -145,36 +146,35 @@ def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
     return amp, length * du
 
 
-def _cf4(spec: DriveSpec, base: np.ndarray, njump: np.ndarray | None, y: np.ndarray,
-         t0: float, t1: float, n: int) -> np.ndarray:
+def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
+         n: int) -> np.ndarray:
     """One pass of ``n`` CF4 steps over the linear-flux part [t0, t1].
 
     Steps are uniform in the graded variable s of :func:`_graded_drive`,
     where the generator is ``B(s) = w(s) (base + amp(s) drive)`` on every
-    level plus ``w(s) njump`` feeding each level from the one below. A
-    step applies ``exp(h sum_m a_jm B(s_m))`` for j = 1, 2 at its two
-    Gauss nodes s_m. Each exponent keeps hierarchy form, so every
-    exponential is one slice of :func:`hierarchy_exponential`.
+    level plus ``w(s) J``, with ``J = jump_superop(spec)``, feeding each
+    level from the one below. A step applies ``exp(h sum_m a_jm B(s_m))``
+    for j = 1, 2 at its two Gauss nodes s_m. Each exponent keeps hierarchy
+    form, so every exponential is one slice of :func:`hierarchy_exponential`.
     """
     k = len(y) // 4 - 1
     _, drive = liouvillian_parts(spec.topology)
     amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _CF4_NODES) / n)
-    # exponent j of step i is p_ij base + q_ij drive, fed by p_ij njump
+    # exponent j of step i is p_ij base + q_ij drive, fed by p_ij J
     p = (w @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
     q = ((w * amp) @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
     diag = p * base + q * drive
-    feed = None if njump is None else p * njump
+    feed = p * jump_superop(spec)
     size = 2 * _STACK_STEPS
     for lo in range(0, 2 * n, size):
-        stack = hierarchy_exponential(diag[lo:lo + size],
-                                      None if feed is None else feed[lo:lo + size], k, 1.0 / n)
+        stack = hierarchy_exponential(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n)
         for exp_j in stack:
             y = exp_j @ y
     return y
 
 
-def _integrate_part(spec: DriveSpec, base: np.ndarray, njump: np.ndarray | None,
-                    y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
+                    t1: float, tol: float) -> np.ndarray:
     """Advance ``y`` over one linear-flux part [t0, t1] of a sampled envelope.
 
     CF4 verified by a halved-step Richardson check; on failure the step
@@ -188,9 +188,9 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, njump: np.ndarray | None,
     amp, w = _graded_drive(spec, t0, t1, np.array([0.0, 1.0]))
     change = w[1] * (base + amp[1] * drive) - w[0] * (base + amp[0] * drive)
     n = max(1, int(np.ceil(_FIRST_STEPS * math.sqrt(np.linalg.norm(change, 1)) * tol ** -0.25)))
-    coarse = _cf4(spec, base, njump, y, t0, t1, n)
+    coarse = _cf4(spec, base, y, t0, t1, n)
     for _ in range(17):
-        fine = _cf4(spec, base, njump, y, t0, t1, 2 * n)
+        fine = _cf4(spec, base, y, t0, t1, 2 * n)
         err = np.max(np.abs(fine - coarse))
         if err <= tol:
             return fine
@@ -198,34 +198,33 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, njump: np.ndarray | None,
         boost = max(2.0, min(64.0, (err / tol) ** 0.25))
         n, doubled = int(np.ceil(n * boost)), 2 * n
         # a boost of exactly 2 makes the fine pass the next coarse one
-        coarse = fine if n == doubled else _cf4(spec, base, njump, y, t0, t1, n)
+        coarse = fine if n == doubled else _cf4(spec, base, y, t0, t1, n)
     raise ConvergenceError(
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 
 
 def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
-            njump: np.ndarray | None = None, resolved: bool = False) -> np.ndarray:
+            resolved: bool = False) -> np.ndarray:
     """Advance a hierarchy state from ``t0`` to ``t1``.
 
-    The hierarchy is ``d y_j / dt = D(t) y_j + njump y_{j-1}`` with
-    ``D = L`` (moments), or ``D = L - njump`` when ``resolved`` (jump
-    counting). ``y`` is either one stacked state, levels 0..k of length
-    ``4(k+1)``, or, without ``njump``, a 4x4 matrix whose columns are
+    The hierarchy is ``d y_j / dt = D(t) y_j + J y_{j-1}`` with
+    ``J = jump_superop(spec)`` and ``D = L`` (moments), or ``D = L - J``
+    when ``resolved`` (jump counting). ``y`` is either one stacked state,
+    levels 0..k of length ``4(k+1)``, or a 4x4 matrix whose columns are
     level-0 states. Each constant-flux interval of the window is one exact
     exponential; each linear-flux part is converged to ``tol``.
     """
     k = len(y) // 4 - 1
+    njump = jump_superop(spec)
     static, _ = liouvillian_parts(spec.topology)
     for lo, hi, gen in drive_intervals(spec):
         a, b = max(lo, t0), min(hi, t1)
         if b <= a:
             continue
         if gen is not None:
-            diag = gen - njump if resolved else gen
-            y = hierarchy_exponential(diag, njump, k, b - a) @ y
+            y = hierarchy_exponential(gen - njump if resolved else gen, njump, k, b - a) @ y
         else:
-            base = static - njump if resolved else static
-            y = _integrate_part(spec, base, njump, y, a, b, tol)
+            y = _integrate_part(spec, static - njump if resolved else static, y, a, b, tol)
     return y
 
 

@@ -131,14 +131,13 @@ def maximize_p1(topology: Topology, T: float, n_range=None,
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Statistics at one grid point; ``N`` is the drive photon number used."""
+    """Statistics at one grid point; ``N`` is the drive photon number used,
+    in :func:`sweep_two_line` the maximizer of ``P_1``."""
 
     T: float
     N: float
     a: float | None
     stats: PhotonStats
-    n_star: float | None = None
-    at_boundary: bool = False
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,7 @@ def _two_line_point(topology: TwoLine, T: float, k: int | None,
     if check:
         verify_dual(_spec_for(topology, T, best.n_star), best.stats,
                     where=f"a={topology.a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
-    return SweepRecord(T=T, N=best.n_star, a=topology.a, stats=best.stats,
-                       n_star=best.n_star, at_boundary=best.at_boundary)
+    return SweepRecord(T=T, N=best.n_star, a=topology.a, stats=best.stats)
 
 
 def _run_points(worker, points, workers: int) -> tuple:

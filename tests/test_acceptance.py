@@ -151,7 +151,7 @@ def test_criterion_6_exact_anchors():
     for _ in range(100):
         spec = random_square_spec(rng)
         t = float(rng.uniform(0.0, spec.t_end))
-        worst_g2 = max(worst_g2, abs(ps.correlator(spec, ps.jump_superop(spec), [t, t])))
+        worst_g2 = max(worst_g2, abs(ps.correlator(spec, [t, t])))
     anchor_g2 = worst_g2 <= 1e-12
 
     ok = anchor_half and anchor_vacuum and anchor_g2

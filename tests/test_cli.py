@@ -32,6 +32,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="method"):
             RunConfig.from_dict({"method": "magic"})
 
+    @pytest.mark.parametrize("data, key", [
+        ({"seed": True}, "'seed'"),
+        ({"threads": 2.0}, "'threads'"),
+        ({"compare": 1}, "'compare'"),
+    ])
+    def test_bool_and_float_rejected_for_other_types(self, data, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(data)
+
+    def test_int_accepted_for_float_field(self):
+        assert RunConfig.from_dict({"T": 1, "window": 20}).T == 1
+
 
 class TestSimulate:
     def test_vacuum_gives_unit_p0(self, tmp_path):
@@ -104,6 +116,24 @@ class TestSimulate:
         assert rc == 2
         assert "widht" in capsys.readouterr().err
 
+    def test_non_finite_detuning_exits_2(self, capsys):
+        rc = main(["simulate", "--delta", "nan"])
+        assert rc == 2
+        assert "delta=nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, key", [
+        ({"T": "abc"}, "'T'"),
+        ({"n_traj": "5"}, "'n_traj'"),
+        ({"k": 2.5}, "'k'"),
+        ({"pulse": "sampled", "samples": [[0, 1], [1]]}, "'samples'"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, data, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        rc = main(["simulate", "--config", str(cfg)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_excited_initial_state(self, tmp_path):
         out = tmp_path / "e.csv"
         rc = main(["simulate", "--T", "1", "--N", "0", "--window", "20",
@@ -155,6 +185,15 @@ class TestSweep:
         rc = main(["sweep", "--preset", "custom"])
         assert rc == 2
         assert "custom sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "3"), ("--topology", "two"), ("--pulse", "sampled"), ("--N", "5"),
+        ("--a", "0.5"), ("--window", "20"), ("--initial", "excited"),
+    ])
+    def test_single_drive_flags_rejected(self, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--preset", "fig3", flag, value])
+        assert info.value.code == 2
 
     def test_two_line_grid(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -263,6 +302,19 @@ class TestGridFlagParsing:
         assert rc == 0
         _, rows = read_csv(out)
         assert [(float(r[0]), float(r[1])) for r in rows] == [(0.1, 1.0), (0.2, 1.0)]
+
+    @pytest.mark.parametrize("spec", ["0.1:0.2:2:foo", "0.1:0.2:0"])
+    def test_bad_range_spec_exits_2(self, capsys, spec):
+        rc = main(["sweep", "--preset", "custom", "--T-grid", spec, "--N-grid", "1"])
+        assert rc == 2
+        assert "t_grid" in capsys.readouterr().err
+
+    def test_empty_grid_named_by_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "custom", "t_grid": [], "n_grid": [1.0]}))
+        rc = main(["sweep", "--config", str(cfg)])
+        assert rc == 2
+        assert "t_grid must not be empty" in capsys.readouterr().err
 
     def test_config_file_malformed_grid_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

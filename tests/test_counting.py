@@ -11,6 +11,7 @@ from scipy.integrate import simpson
 
 import photonstat as ps
 from conftest import TimeGrid, random_square_spec, time_grid
+from photonstat import counting
 from photonstat.counting import (
     DUAL_TOLERANCE,
     MAX_CUTOFF,
@@ -74,18 +75,17 @@ def test_package_import_leaves_out_scipy_integrate():
 class TestBinomialMoments:
     def test_vacuum_input_gives_zero_moments(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=0.0))
-        moments = ps.binomial_moments(spec, ps.jump_superop(spec), 4)
+        moments = ps.binomial_moments(spec, 4)
         assert np.all(moments == 0.0)
 
     def test_single_excitation_gives_half_photon(self):
-        nj = ps.jump_superop(UNDRIVEN_EXCITED)
-        moments = ps.binomial_moments(UNDRIVEN_EXCITED, nj, 4, rho0=ps.EXCITED)
+        moments = ps.binomial_moments(UNDRIVEN_EXCITED, 4, rho0=ps.EXCITED)
         assert moments[0] == pytest.approx(0.5, abs=1e-6)
         assert moments[1] <= 1e-9  # one excitation can never produce a pair
 
     def test_pi_pulse_moments_vs_literal_quadrature(self, pi_grid):
         nj = ps.jump_superop(PI_PULSE)
-        moments = ps.binomial_moments(PI_PULSE, nj, 4)
+        moments = ps.binomial_moments(PI_PULSE, 4)
         assert 0.4 < moments[0] < 0.6
         assert moments[1] < 0.01
         n1_quad = moments_by_quadrature(pi_grid, nj, 1)
@@ -95,14 +95,12 @@ class TestBinomialMoments:
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(SpecError):
-            ps.binomial_moments(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), 0,
-                                rho0=ps.EXCITED)
+            ps.binomial_moments(UNDRIVEN_EXCITED, 0, rho0=ps.EXCITED)
 
 
 class TestCorrelator:
     def test_first_order_at_zero_is_half_population(self):
-        nj = ps.jump_superop(UNDRIVEN_EXCITED)
-        assert ps.correlator(UNDRIVEN_EXCITED, nj, [0.0],
+        assert ps.correlator(UNDRIVEN_EXCITED, [0.0],
                              rho0=ps.EXCITED) == pytest.approx(0.5, abs=1e-12)
 
     def test_coincident_times_vanish(self):
@@ -110,29 +108,25 @@ class TestCorrelator:
         for _ in range(20):
             spec = random_square_spec(rng)
             t = float(rng.uniform(0.0, spec.t_end))
-            njump = ps.jump_superop(spec)
-            assert abs(ps.correlator(spec, njump, [t, t])) <= 1e-12
+            assert abs(ps.correlator(spec, [t, t])) <= 1e-12
             later = float(rng.uniform(t, spec.t_end))
-            assert abs(ps.correlator(spec, njump, [t, t, later])) <= 1e-12
+            assert abs(ps.correlator(spec, [t, t, later])) <= 1e-12
 
     def test_first_order_integral_equals_first_moment(self, pi_grid):
         nj = ps.jump_superop(PI_PULSE)
-        n1 = ps.binomial_moments(PI_PULSE, nj, 1)[0]
+        n1 = ps.binomial_moments(PI_PULSE, 1)[0]
         assert abs(moments_by_quadrature(pi_grid, nj, 1) - n1) < 1e-8
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(SpecError, match="non-decreasing"):
-            ps.correlator(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), [1.0, 0.5],
-                          rho0=ps.EXCITED)
+            ps.correlator(UNDRIVEN_EXCITED, [1.0, 0.5], rho0=ps.EXCITED)
 
     def test_rejects_times_outside_window(self):
         with pytest.raises(SpecError):
-            ps.correlator(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), [19.0, 21.0],
-                          rho0=ps.EXCITED)
+            ps.correlator(UNDRIVEN_EXCITED, [19.0, 21.0], rho0=ps.EXCITED)
 
     def test_second_order_positive_for_separated_times(self):
-        nj = ps.jump_superop(PI_PULSE)
-        assert ps.correlator(PI_PULSE, nj, [0.05, 0.3]) > 0.0
+        assert ps.correlator(PI_PULSE, [0.05, 0.3]) > 0.0
 
 
 class TestInvertMoments:
@@ -166,21 +160,20 @@ class TestInvertMoments:
 
 class TestCountingDistribution:
     def test_single_excitation_is_fair_coin(self):
-        probs = ps.counting_distribution(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), 4,
-                                         rho0=ps.EXCITED)
+        probs = ps.counting_distribution(UNDRIVEN_EXCITED, 4, rho0=ps.EXCITED)
         assert probs[0] == pytest.approx(0.5, abs=1e-6)
         assert probs[1] == pytest.approx(0.5, abs=1e-6)
         assert np.all(probs[2:] < 1e-8)
 
     def test_vacuum_input(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=0.0))
-        probs = ps.counting_distribution(spec, ps.jump_superop(spec), 2)
+        probs = ps.counting_distribution(spec, 2)
         assert probs[0] == 1.0
         assert np.all(probs[1:] == 0.0)
 
     def test_insufficient_cutoff_raises(self):
         with pytest.raises(CutoffError, match="insufficient"):
-            ps.counting_distribution(PI_PULSE, ps.jump_superop(PI_PULSE), 1)
+            ps.counting_distribution(PI_PULSE, 1)
 
     def test_matches_moment_inversion_on_random_specs(self):
         rng = np.random.default_rng(53)
@@ -266,6 +259,41 @@ class TestPhotonStatistics:
         ja = ps.photon_statistics(sq, method="jump-counting", k=5).probabilities
         jb = ps.photon_statistics(sa, method="jump-counting", k=5).probabilities
         assert np.max(np.abs(ja - jb)) < 1e-6
+
+
+# mean count ~5: beyond both routes at the cutoff cap
+BEYOND_CAP = ps.DriveSpec(ps.SquarePulse(T=20.0, N=400.0))
+
+
+class TestCutoffLadder:
+    @pytest.fixture
+    def cutoffs(self, monkeypatch):
+        """Cutoffs passed to each hierarchy routine, in call order."""
+        seen = {"binomial_moments": [], "counting_distribution": []}
+        for name, calls in seen.items():
+            def recording(spec, k, rho0=None, _calls=calls, _fn=getattr(counting, name)):
+                _calls.append(k)
+                return _fn(spec, k, rho0)
+            monkeypatch.setattr(counting, name, recording)
+        return seen
+
+    def test_moment_route_climbs_to_the_cap(self, cutoffs):
+        with pytest.raises(TailError):
+            ps.photon_statistics(BEYOND_CAP)
+        assert cutoffs["binomial_moments"] == list(range(4, MAX_CUTOFF + 1, 2))
+        assert cutoffs["counting_distribution"] == []
+
+    def test_counting_route_climbs_to_the_cap(self, cutoffs):
+        with pytest.raises(CutoffError, match=f"beyond n_max={MAX_CUTOFF}") as info:
+            ps.photon_statistics(BEYOND_CAP, method="jump-counting")
+        assert not isinstance(info.value, TailError)
+        assert cutoffs["counting_distribution"] == list(range(4, MAX_CUTOFF + 1, 2))
+        assert cutoffs["binomial_moments"] == []
+
+    def test_explicit_cutoff_is_one_call_per_route(self, cutoffs):
+        ps.photon_statistics(PI_PULSE, k=6)
+        ps.photon_statistics(PI_PULSE, method="jump-counting", k=6)
+        assert cutoffs == {"binomial_moments": [6], "counting_distribution": [6]}
 
 
 # Draw 9 of random_square_spec(default_rng(14)): inside the randomized suite's

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,20 @@ class TestDriveSpec:
         with pytest.raises(SpecError, match="0 < a <= 1"):
             ps.TwoLine(a=0.0)
         ps.TwoLine(a=1.0)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ps.SquarePulse(T=1.0, N=math.inf), "N="),
+        (lambda: ps.SquarePulse(T=1.0, N=math.nan), "N="),
+        (lambda: ps.SquarePulse(T=math.inf, N=1.0), "T="),
+        (lambda: ps.SampledPulse((0.0, math.nan), (1.0, 1.0)), "times"),
+        (lambda: ps.SampledPulse((0.0, 1.0), (1.0, math.nan)), "values"),
+        (lambda: ps.SingleLine(delta=math.nan), "delta="),
+        (lambda: ps.TwoLine(a=0.5, delta=math.inf), "delta="),
+        (lambda: ps.DriveSpec(ps.SquarePulse(T=1.0, N=1.0), t_end=math.nan), "t_end="),
+    ])
+    def test_non_finite_inputs_name_the_field(self, build, field):
+        with pytest.raises(SpecError, match=field):
+            build()
 
     def test_window_must_contain_pulse(self):
         with pytest.raises(SpecError):

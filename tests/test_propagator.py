@@ -181,7 +181,7 @@ class TestSampledIntegrator:
         for resolved in (False, True):
             diag = gen - njump if resolved else gen
             expected = expm(block_hierarchy(diag, njump, k) * (t1 - t0)) @ y
-            got = advance(RAMP, y, t0, t1, 1e-9, njump, resolved)
+            got = advance(RAMP, y, t0, t1, 1e-9, resolved)
             assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_cf4_is_fourth_order_on_the_onset(self):
@@ -192,9 +192,8 @@ class TestSampledIntegrator:
         k = 3
         level0 = np.zeros(4 * (k + 1), dtype=complex)
         level0[0] = 1.0
-        for base, jump, y in ((static, None, np.eye(4, dtype=complex)),
-                              (static - njump, njump, level0)):
-            runs = [_cf4(RAMP, base, jump, y, 0.0, 0.05, n) for n in (8, 16, 32)]
+        for base, y in ((static, np.eye(4, dtype=complex)), (static - njump, level0)):
+            runs = [_cf4(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
             coarse = np.max(np.abs(runs[1] - runs[0]))
             fine = np.max(np.abs(runs[2] - runs[1]))
             assert coarse / fine >= 12
@@ -206,9 +205,9 @@ class TestSampledIntegrator:
                             ps.SingleLine(delta=2.0))
         steps = []
 
-        def recording_cf4(spec, base, njump, y, t0, t1, n):
+        def recording_cf4(spec, base, y, t0, t1, n):
             steps.append((t0, t1, n))
-            return _cf4(spec, base, njump, y, t0, t1, n)
+            return _cf4(spec, base, y, t0, t1, n)
 
         monkeypatch.setattr(propagator, "_cf4", recording_cf4)
         moments = ps.photon_statistics(spec)

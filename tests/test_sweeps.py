@@ -135,7 +135,6 @@ class TestSweepTwoLine:
         assert rec_small.stats.p1 > 0.9
         assert rec_small.stats.p1 > rec_large.stats.p1
         for rec in result.records:
-            assert rec.n_star == rec.N
             assert rec.stats.probabilities[1] == pytest.approx(
                 max(r.stats.p1 for r in [rec]), abs=0.0)
 

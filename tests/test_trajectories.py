@@ -114,8 +114,7 @@ class TestSampling:
         assert res.per_channel_totals == {"left": 0.0, "right": 0.0}
 
     def test_mean_matches_first_moment(self, excited_run):
-        n1 = ps.binomial_moments(UNDRIVEN_EXCITED, ps.jump_superop(UNDRIVEN_EXCITED), 1,
-                                 rho0=ps.EXCITED)[0]
+        n1 = ps.binomial_moments(UNDRIVEN_EXCITED, 1, rho0=ps.EXCITED)[0]
         mean = excited_run.per_channel_totals["left"]
         se = np.sqrt(0.25 / excited_run.n_traj)
         assert abs(mean - n1) < 4 * se
