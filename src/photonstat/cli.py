@@ -387,6 +387,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Sweep inputs each preset reads; setting another one is an error. A
+# custom sweep with an a-grid maximizes over N, so it reads no N-grid.
+_SWEEP_INPUTS = ("T", "t_grid", "n_grid", "a_grid")
+_PRESET_READS = {"fig2": (), "fig3": ("T",), "fig4": ("T",), "fig5": (),
+                 "custom": ("t_grid", "n_grid", "a_grid")}
+
+
+def _check_sweep_inputs(data: dict) -> None:
+    preset = data.get("preset") or "custom"
+    reads = _PRESET_READS.get(preset)
+    if reads is None:
+        return  # cmd_sweep names the unknown preset
+    if preset == "custom" and data.get("a_grid") is not None:
+        reads = ("t_grid", "a_grid")
+    for key in _SWEEP_INPUTS:
+        if data.get(key) is not None and key not in reads:
+            raise ConfigError(f"sweep preset {preset!r} does not read {key!r}")
+
+
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
     """Config file keys overridden by explicit flags; grid strings parsed."""
     data: dict = {}
@@ -406,6 +425,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
                 data[name] = _parse_grid(value)
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+    if ns.command == "sweep":
+        _check_sweep_inputs(data)
     return RunConfig.from_dict(data)
 
 

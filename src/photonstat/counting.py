@@ -23,13 +23,17 @@ Both hierarchies are block lower-bidiagonal linear systems, advanced by
 exponential per constant-flux interval (every interval of a square pulse,
 and the flat parts and undriven tail of a sampled envelope), and with the
 fourth-order commutator-free Magnus scheme CF4, verified by step halving,
-where a sampled envelope varies.
+where a sampled envelope varies. A row of specs that share topology and
+breakpoints (a sweep row) climbs the cutoff ladder together, one stacked
+hierarchy per rung over its points still short of their criterion.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +45,15 @@ from .liouville import (
     Topology,
     drive_coefficient,
     jump_superop,
-    liouvillian_parts,
     vectorize,
 )
-from .propagator import advance, hierarchy_exponential, propagator_between, validate_density
+from .propagator import (
+    advance,
+    hierarchy_exponential,
+    propagator_between,
+    real_parts,
+    validate_density,
+)
 
 __all__ = [
     "PhotonStats", "binomial_moments", "correlator", "invert_moments",
@@ -94,16 +103,32 @@ class PhotonStats:
 # ---------------------------------------------------------------------------
 # Hierarchy integration
 
-def _level_traces(spec: DriveSpec, k: int, rho0, resolved: bool) -> np.ndarray:
-    """Traces of hierarchy levels 0..k at t_end, from ``rho0`` (default ``|g><g|``)."""
-    if k < 1:
-        raise SpecError(f"cutoff must satisfy k >= 1, got {k}")
-    y = np.zeros(4 * (k + 1), dtype=complex)
-    y[:4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
+def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
+    """Traces of hierarchy levels 0..k at t_end, from ``rho0`` (default
+    ``|g><g|``), one row per spec of ``specs`` (sharing topology and
+    breakpoints)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
+    y = np.zeros((len(specs), 4 * (k + 1)), dtype=complex)
+    y[:, :4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
     # per-part error budget; endpoint errors propagate non-expansively
-    tol = TAIL_TOLERANCE / (len(spec.breakpoints()) - 1)
-    levels = advance(spec, y, 0.0, spec.t_end, tol, resolved).reshape(k + 1, 4)
-    return (levels[:, 0] + levels[:, 3]).real
+    tol = TAIL_TOLERANCE / (len(specs[0].breakpoints()) - 1)
+    levels = advance(specs, y, 0.0, specs[0].t_end, tol, resolved).reshape(len(specs), k + 1, 4)
+    return (levels[..., 0] + levels[..., 3]).real
+
+
+def _clamp_moments(vals: np.ndarray) -> np.ndarray:
+    return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
+
+
+def _complete_distribution(traces: np.ndarray, n_max: int) -> np.ndarray:
+    probs = _clamp_probabilities(traces)
+    missing = 1.0 - probs.sum()
+    if missing > NORMALIZATION_TOLERANCE:
+        raise CutoffError(
+            f"probability {missing:.3e} lies beyond n_max={n_max}; insufficient n_max"
+        )
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +141,7 @@ def binomial_moments(spec: DriveSpec, k: int, rho0=None) -> np.ndarray:
     coincidence integral over the counting window, starting from ``rho0``
     (default ``|g><g|``).
     """
-    vals = _level_traces(spec, k, rho0, resolved=False)[1:]
-    return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
+    return _clamp_moments(_level_traces([spec], k, rho0, resolved=False)[0, 1:])
 
 
 def counting_distribution(spec: DriveSpec, n_max: int, rho0=None) -> np.ndarray:
@@ -127,13 +151,7 @@ def counting_distribution(spec: DriveSpec, n_max: int, rho0=None) -> np.ndarray:
     when more than ``NORMALIZATION_TOLERANCE`` of the probability lies
     beyond ``n_max``.
     """
-    probs = _clamp_probabilities(_level_traces(spec, n_max, rho0, resolved=True))
-    missing = 1.0 - probs.sum()
-    if missing > NORMALIZATION_TOLERANCE:
-        raise CutoffError(
-            f"probability {missing:.3e} lies beyond n_max={n_max}; insufficient n_max"
-        )
-    return probs
+    return _complete_distribution(_level_traces([spec], n_max, rho0, resolved=True)[0], n_max)
 
 
 def _clamp_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -156,21 +174,40 @@ def invert_moments(moments) -> np.ndarray:
     if moments.ndim != 1 or len(moments) < 1:
         raise SpecError("need at least the first binomial moment")
     full = np.concatenate(([1.0], moments))
-    k = len(moments)
-    probs = np.array([
-        sum((-1) ** (m - n) * math.comb(m, n) * full[m] for m in range(n, k + 1))
-        for n in range(k + 1)
-    ])
-    return _clamp_probabilities(probs)
+    _, signed, lower = _binomials(len(moments))
+    # term (m, n) sits at row m, column n
+    return _clamp_probabilities(_column_sums(np.where(lower, signed * full[:, None], 0.0)))
 
 
 def moments_from_probabilities(probs, k: int) -> np.ndarray:
     """Binomial moments ``N_1 .. N_k`` implied by a count distribution."""
     probs = np.asarray(probs, dtype=float)
-    return np.array([
-        sum(math.comb(n, m) * probs[n] for n in range(m, len(probs)))
-        for m in range(1, k + 1)
-    ])
+    binom, _, lower = _binomials(max(len(probs) - 1, k))
+    # term (n, m) sits at row n, column m - 1
+    cols = slice(1, k + 1)
+    return _column_sums(np.where(lower[:len(probs), cols],
+                                 binom[:len(probs), cols] * probs[:, None], 0.0))
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Each column summed in row order, as a left-to-right ``sum`` of the
+    formula's terms would (``np.add.accumulate`` is sequential)."""
+    if not len(terms):
+        return np.zeros(terms.shape[1])
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+@lru_cache(maxsize=None)
+def _binomials(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``C(m, n)``, ``(-1)^(m-n) C(m, n)`` and the mask ``n <= m``, at row m
+    and column n for m, n = 0..k (read-only)."""
+    binom = np.array([[math.comb(m, n) for n in range(k + 1)] for m in range(k + 1)],
+                     dtype=float)
+    m, n = np.indices(binom.shape)
+    parts = binom, np.where((m - n) % 2, -binom, binom), n <= m
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 def correlator(spec: DriveSpec, times, rho0=None) -> float:
@@ -208,24 +245,25 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
     the jump-resolved hierarchy depends only on level 0, so ``P_1 = trace
     rho_1(t_end)`` follows with no cutoff from the 8x8 block generator
     ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for integrals of
-    matrix exponentials). The drive intervals of all photon numbers are one
-    stack of exponentials and share the cached undriven tail, applied as a
-    stacked matrix-vector product, so each value is bit for bit independent
-    of the other photon numbers passed with it.
+    matrix exponentials), taken in the real coordinates r of
+    :mod:`photonstat.propagator`. The drive intervals of all photon numbers
+    are one stack of exponentials and share the cached undriven tail,
+    applied as a stacked matrix-vector product, so each value is bit for
+    bit independent of the other photon numbers passed with it.
     """
     ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
     if not (ns >= 0).all():
         raise SpecError(f"photon numbers must satisfy N >= 0, got {ns[~(ns >= 0)][0]}")
     spec = DriveSpec(SquarePulse(T=T, N=0.0), topology)
-    njump = jump_superop(spec)
-    static, drive = liouvillian_parts(topology)
+    static, drive, jump = real_parts(topology)
     amps = np.sqrt(drive_coefficient(topology) * (ns / T))
-    pulse = hierarchy_exponential(static - njump + amps[:, None, None] * drive, njump, 1, T)
-    tail = hierarchy_exponential(static - njump, njump, 1, spec.t_end - T)
-    # vectorize(GROUND) is the first unit vector, so the state after the
-    # pulse is the first column of each pulse exponential
+    pulse = hierarchy_exponential(static - jump + amps[:, None, None] * drive, jump, 1, T)
+    tail = hierarchy_exponential(static - jump, jump, 1, spec.t_end - T)
+    # |g><g| is the first unit vector of r, so the state after the pulse is
+    # the first column of each pulse exponential; level 1 holds rows 4..7,
+    # and the trace is r_0 + r_1
     y = tail @ pulse[:, :, :1]
-    return (y[:, 4, 0] + y[:, 7, 0]).real
+    return y[:, 4, 0] + y[:, 5, 0]
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
@@ -242,30 +280,66 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     respectively :class:`CutoffError`. A ``rho0`` other than the default
     ``|g><g|`` is checked by ``validate_density``.
     """
+    stats = _row_statistics([spec], method, k, rho0)[0]
+    if isinstance(stats, NumericalError):
+        raise stats
+    return stats
+
+
+def _row_statistics(specs, method: str = "moment-inversion", k: int | None = None,
+                   rho0=None) -> list:
+    """:func:`photon_statistics` of every spec of a row sharing topology and
+    breakpoints (one sweep row: one T, all its N).
+
+    The row climbs one cutoff ladder: at each rung the points not yet
+    settled are one stacked hierarchy, and a point leaves the stack once
+    its criterion is met. Entry i is the :class:`PhotonStats` of
+    ``specs[i]``, or the :class:`NumericalError` it raised; either is bit
+    for bit what ``photon_statistics(specs[i], ...)`` returns or raises.
+    """
     if method not in ("moment-inversion", "jump-counting"):
         raise SpecError(f"unknown method {method!r}")
-    ladder = (k,) if k is not None else range(START_CUTOFF, MAX_CUTOFF + 1, 2)
+    ladder = (k,) if k is not None else tuple(range(START_CUTOFF, MAX_CUTOFF + 1, 2))
+    out: list = [None] * len(specs)
+    pending = list(range(len(specs)))
     for cutoff in ladder:
-        if method == "moment-inversion":
-            moments = binomial_moments(spec, cutoff, rho0)
-            if k is not None or moments[-1] < TAIL_TOLERANCE:
-                return PhotonStats(moments=moments, probabilities=invert_moments(moments),
-                                   cutoff_k=cutoff, tail_bound=float(moments[-1]),
-                                   method=method)
-            continue
-        try:
-            probs = counting_distribution(spec, cutoff, rho0)
-        except CutoffError:
-            if cutoff == ladder[-1]:
-                raise
-            continue
-        return PhotonStats(moments=moments_from_probabilities(probs, cutoff),
-                           probabilities=probs, cutoff_k=cutoff,
-                           tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
-    raise TailError(
-        f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
-        f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
-        f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
+        if not pending:
+            break
+        traces = _level_traces([specs[i] for i in pending], cutoff, rho0,
+                               resolved=method == "jump-counting")
+        for i, levels in zip(pending, traces):
+            try:
+                out[i] = _settle(levels, method, cutoff, final=cutoff == ladder[-1],
+                                 fixed=k is not None)
+            except NumericalError as exc:
+                out[i] = exc
+        pending = [i for i in pending if out[i] is None]
+    return out
+
+
+def _settle(levels: np.ndarray, method: str, cutoff: int, final: bool,
+            fixed: bool) -> PhotonStats | None:
+    """Statistics from the level traces at ``cutoff``, or None to climb on."""
+    if method == "moment-inversion":
+        moments = _clamp_moments(levels[1:])
+        if fixed or moments[-1] < TAIL_TOLERANCE:
+            return PhotonStats(moments=moments, probabilities=invert_moments(moments),
+                               cutoff_k=cutoff, tail_bound=float(moments[-1]), method=method)
+        if final:
+            raise TailError(
+                f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
+                f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
+                f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
+        return None
+    try:
+        probs = _complete_distribution(levels, cutoff)
+    except CutoffError:
+        if final:
+            raise
+        return None
+    return PhotonStats(moments=moments_from_probabilities(probs, cutoff),
+                       probabilities=probs, cutoff_k=cutoff,
+                       tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
 
 
 def verify_dual(spec: DriveSpec, moments: PhotonStats, rho0=None,

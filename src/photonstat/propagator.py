@@ -10,6 +10,12 @@ fourth-order commutator-free Magnus scheme CF4 (two exponentials per step),
 with a halved-step Richardson check refining until the difference is below
 tolerance. The propagator of the master equation is the zeroth hierarchy
 level advanced from the identity.
+
+States and superoperators are column-stacked (:func:`photonstat.liouville.vectorize`)
+at the boundary of :func:`advance`, but propagated in the Hermitian
+coordinates r = (rho_gg, rho_ee, Re rho_eg, Im rho_eg). Every generator,
+drive term and jump superoperator of the model preserves Hermiticity, so in
+r it is real and every hierarchy exponential is taken in float64.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from scipy.linalg import expm
 from .errors import ConvergenceError, SpecError
 from .liouville import (
     DriveSpec,
+    Topology,
+    _monitored_jump,
     devectorize,
     drive_coefficient,
     drive_intervals,
-    jump_superop,
     liouvillian_parts,
     vectorize,
 )
@@ -47,12 +54,20 @@ _CF4_WEIGHTS = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6
 # Steps whose exponentials are one stacked scipy call. A larger stack saves
 # little time (scipy still loops over the slices) but raises peak memory.
 _STACK_STEPS = 4
+# Specs whose interval exponentials are one stacked scipy call in advance;
+# results do not depend on it, peak memory grows with it (37 kB per spec at
+# k = 16).
+_STACK_POINTS = 24
 # First-pass step count per sqrt(V) tol^(-1/4) (see _integrate_part); at
 # this value the first halved-step check passes on most parts of 1-3 knot
 # envelopes, and below ~0.1 most parts need a second round.
 _FIRST_STEPS = 0.12
 # End-flux ratio below which a linear-flux part is graded (see _graded_drive).
 _GRADE_RATIO = 1e-3
+# Change of basis from the column-stacked vector (rho_gg, rho_eg, rho_ge,
+# rho_ee) to r = (rho_gg, rho_ee, Re rho_eg, Im rho_eg), and back.
+_TO_R = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+_FROM_R = np.array([[1, 0, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j], [0, 1, 0, 0]])
 
 
 def validate_density(rho) -> np.ndarray:
@@ -78,16 +93,49 @@ def _restore(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _real(op: np.ndarray) -> np.ndarray:
+    """A Hermiticity-preserving superoperator, or a stack of them, in r as float64."""
+    return (_TO_R @ op @ _FROM_R).real
+
+
+@lru_cache(maxsize=64)
+def real_parts(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two :func:`liouvillian_parts` of ``topology`` and its monitored
+    jump superoperator, in r (read-only float64)."""
+    static, drive = liouvillian_parts(topology)
+    parts = tuple(_real(op) for op in (static, drive, _monitored_jump(topology)))
+    for op in parts:
+        op.setflags(write=False)
+    return parts
+
+
+@lru_cache(maxsize=256)
+def _real_intervals(spec: DriveSpec) -> tuple:
+    """:func:`drive_intervals` of ``spec`` with each constant generator in r (read-only)."""
+    out = []
+    for lo, hi, gen in drive_intervals(spec):
+        if gen is not None:
+            gen = _real(gen)
+            gen.setflags(write=False)
+        out.append((lo, hi, gen))
+    return tuple(out)
+
+
+def _rebase(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``u`` applied to every level of states ``y`` of shape ``(..., 4(k+1), m)``."""
+    return (u @ y.reshape(y.shape[:-2] + (-1, 4, y.shape[-1]))).reshape(y.shape)
+
+
 @lru_cache(maxsize=32)
 def _expm_cached(key: bytes, dim: int, dt: float) -> np.ndarray:
-    gen = np.frombuffer(key, dtype=complex).reshape(dim, dim)
+    gen = np.frombuffer(key, dtype=float).reshape(dim, dim)
     out = expm(gen * dt)
     out.setflags(write=False)
     return out
 
 
 def expm_interval(gen: np.ndarray, dt: float) -> np.ndarray:
-    """Cached ``expm(gen * dt)``; callers must not mutate the result."""
+    """Cached ``expm(gen * dt)`` of a float64 ``gen``; callers must not mutate the result."""
     return _expm_cached(gen.tobytes(), gen.shape[0], float(dt))
 
 
@@ -95,7 +143,7 @@ def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray, k: int) -> np.ndarray:
     """Block lower-bidiagonal generator of levels 0..k, broadcast over the
     leading axes of ``diag`` (shape ``(..., 4, 4)``)."""
     dim = 4 * (k + 1)
-    big = np.zeros(diag.shape[:-2] + (dim, dim), dtype=complex)
+    big = np.zeros(diag.shape[:-2] + (dim, dim), dtype=np.result_type(diag, feed))
     for j in range(k + 1):
         big[..., 4 * j:4 * j + 4, 4 * j:4 * j + 4] = diag
         if j:
@@ -115,6 +163,23 @@ def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray, k: int,
     if gen.ndim == 2:
         return expm_interval(gen, dt)
     return expm(gen * dt)
+
+
+def _exponentials(diag: np.ndarray, feed: np.ndarray, k: int, dt: float,
+                  y: np.ndarray) -> np.ndarray:
+    """``y[i]`` advanced by the hierarchy exponential of ``diag[i]`` over ``dt``.
+
+    A stack of equal slices (an undriven tail shared by a row of specs) is
+    one cached exponential; other stacks go to scipy ``_STACK_POINTS``
+    slices at a time. Either way slice i is computed exactly as if alone.
+    """
+    if (diag == diag[0]).all():
+        return hierarchy_exponential(diag[0], feed, k, dt) @ y
+    out = np.empty(y.shape, dtype=np.result_type(diag, y))
+    for lo in range(0, len(y), _STACK_POINTS):
+        part = slice(lo, lo + _STACK_POINTS)
+        out[part] = hierarchy_exponential(diag[part], feed, k, dt) @ y[part]
+    return out
 
 
 def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
@@ -156,15 +221,16 @@ def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
     level from the one below. A step applies ``exp(h sum_m a_jm B(s_m))``
     for j = 1, 2 at its two Gauss nodes s_m. Each exponent keeps hierarchy
     form, so every exponential is one slice of :func:`hierarchy_exponential`.
+    ``base``, ``drive``, ``J`` and ``y`` are in r (see :func:`real_parts`).
     """
     k = len(y) // 4 - 1
-    _, drive = liouvillian_parts(spec.topology)
+    _, drive, jump = real_parts(spec.topology)
     amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _CF4_NODES) / n)
     # exponent j of step i is p_ij base + q_ij drive, fed by p_ij J
     p = (w @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
     q = ((w * amp) @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
     diag = p * base + q * drive
-    feed = p * jump_superop(spec)
+    feed = p * jump
     size = 2 * _STACK_STEPS
     for lo in range(0, 2 * n, size):
         stack = hierarchy_exponential(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n)
@@ -182,16 +248,19 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
     before re-checking. CF4 is exact for a constant generator, and its
     error grows as h^4 times the square of the change V of the graded
     generator across the part, so the first pass takes
-    ``_FIRST_STEPS * sqrt(V) * tol**(-1/4)`` steps.
+    ``_FIRST_STEPS * sqrt(V) * tol**(-1/4)`` steps. ``base`` and ``y`` (shape
+    ``(4(k+1), m)``) are in r; V and the check are measured on the
+    column-stacked components.
     """
-    _, drive = liouvillian_parts(spec.topology)
+    _, drive, _ = real_parts(spec.topology)
     amp, w = _graded_drive(spec, t0, t1, np.array([0.0, 1.0]))
     change = w[1] * (base + amp[1] * drive) - w[0] * (base + amp[0] * drive)
+    change = _FROM_R @ change @ _TO_R
     n = max(1, int(np.ceil(_FIRST_STEPS * math.sqrt(np.linalg.norm(change, 1)) * tol ** -0.25)))
     coarse = _cf4(spec, base, y, t0, t1, n)
     for _ in range(17):
         fine = _cf4(spec, base, y, t0, t1, 2 * n)
-        err = np.max(np.abs(fine - coarse))
+        err = np.max(np.abs(_rebase(_FROM_R, fine - coarse)))
         if err <= tol:
             return fine
         # square-root envelope onsets converge slower and re-boost
@@ -203,29 +272,49 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 
 
-def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
+def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
             resolved: bool = False) -> np.ndarray:
     """Advance a hierarchy state from ``t0`` to ``t1``.
 
     The hierarchy is ``d y_j / dt = D(t) y_j + J y_{j-1}`` with
     ``J = jump_superop(spec)`` and ``D = L`` (moments), or ``D = L - J``
     when ``resolved`` (jump counting). ``y`` is either one stacked state,
-    levels 0..k of length ``4(k+1)``, or a 4x4 matrix whose columns are
-    level-0 states. Each constant-flux interval of the window is one exact
-    exponential; each linear-flux part is converged to ``tol``.
+    levels 0..k of length ``4(k+1)``, or a matrix whose columns are such
+    states. ``spec`` may also be a sequence of specs that share topology
+    and breakpoints, with one such ``y`` per spec stacked on a leading
+    axis; each spec's result is bit for bit its result alone. States are
+    column-stacked on both ends and propagated in r, where a Hermitian
+    state stays real. Each constant-flux interval of the window is one
+    exact exponential per spec; each linear-flux part is converged to
+    ``tol``, one spec at a time.
     """
-    k = len(y) // 4 - 1
-    njump = jump_superop(spec)
-    static, _ = liouvillian_parts(spec.topology)
-    for lo, hi, gen in drive_intervals(spec):
+    single = isinstance(spec, DriveSpec)
+    specs = [spec] if single else list(spec)
+    first = specs[0]
+    parts = [_real_intervals(s) for s in specs]
+    edges = [part[:2] for part in parts[0]]
+    if any(s.topology != first.topology or [part[:2] for part in p] != edges
+           for s, p in zip(specs[1:], parts[1:])):
+        raise SpecError("stacked specs must share topology and breakpoints")
+    y = np.asarray(y)
+    k = y.shape[0 if single else 1] // 4 - 1
+    r = _rebase(_TO_R, y.reshape(len(specs), 4 * (k + 1), -1))
+    if not r.imag.any():
+        r = np.ascontiguousarray(r.real)
+    static, _, jump = real_parts(first.topology)
+    for i, (lo, hi) in enumerate(edges):
         a, b = max(lo, t0), min(hi, t1)
         if b <= a:
             continue
-        if gen is not None:
-            y = hierarchy_exponential(gen - njump if resolved else gen, njump, k, b - a) @ y
-        else:
-            y = _integrate_part(spec, static - njump if resolved else static, y, a, b, tol)
-    return y
+        gens = [p[i][2] for p in parts]
+        if any(gen is None for gen in gens):
+            if len(specs) > 1:
+                raise SpecError("linear-flux parts are advanced one spec at a time")
+            r[0] = _integrate_part(first, static - jump if resolved else static, r[0], a, b, tol)
+            continue
+        diag = np.array(gens)
+        r = _exponentials(diag - jump if resolved else diag, jump, k, b - a, r)
+    return _rebase(_FROM_R, r).reshape(y.shape)
 
 
 def propagator_between(spec: DriveSpec, t0: float, t1: float) -> np.ndarray:

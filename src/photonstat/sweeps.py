@@ -18,10 +18,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .counting import PhotonStats, one_photon_probability, photon_statistics, verify_dual
+from .counting import (
+    PhotonStats,
+    _row_statistics,
+    one_photon_probability,
+    photon_statistics,
+    verify_dual,
+)
 from .errors import SpecError
 from .liouville import DriveSpec, SingleLine, SquarePulse, TwoLine, Topology
 
@@ -148,15 +155,24 @@ class SweepResult:
     records: tuple[SweepRecord, ...]
 
 
-def _fixed_point(topology: Topology, T: float, N: float, k: int | None,
-                 check: bool) -> SweepRecord:
-    spec = _spec_for(topology, T, N)
-    stats = photon_statistics(spec, k=k)
+def _fixed_row(topology: Topology, T: float, Ns: list[float], k: int | None,
+               checks: list[bool]) -> tuple[SweepRecord, ...]:
+    """Records of one row (one width, every photon number), in order.
+
+    The row's statistics are computed together, each point bit for bit as
+    if alone; errors and dual checks are then met in point order.
+    """
+    specs = [_spec_for(topology, T, N) for N in Ns]
     a = topology.a if isinstance(topology, TwoLine) else None
-    if check:
-        verify_dual(spec, stats,
-                    where=("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
-    return SweepRecord(T=T, N=N, a=a, stats=stats)
+    records = []
+    for spec, N, stats, check in zip(specs, Ns, _row_statistics(specs, k=k), checks):
+        if not isinstance(stats, PhotonStats):
+            raise stats
+        if check:
+            verify_dual(spec, stats,
+                        where=("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
+        records.append(SweepRecord(T=T, N=N, a=a, stats=stats))
+    return tuple(records)
 
 
 def _two_line_point(topology: TwoLine, T: float, k: int | None,
@@ -175,7 +191,8 @@ def _run_points(worker, points, workers: int) -> tuple:
     picklable when ``workers > 1``.
     """
     if workers > 1:
-        chunk = max(1, min(8, math.ceil(len(points) / workers)))
+        # about 8 tasks per worker or more, so that rows of uneven cost balance
+        chunk = max(1, min(8, len(points) // (8 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(worker, *zip(*points), chunksize=chunk))
     return tuple(worker(*point) for point in points)
@@ -198,11 +215,11 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     N_grid = np.asarray(DEFAULT_N_GRID if N_grid is None else N_grid, dtype=float)
     if np.any(T_grid <= 0) or np.any(N_grid < 0):
         raise SpecError("pulse widths must be positive and photon numbers non-negative")
-    checks = _check_mask(len(T_grid) * len(N_grid))
+    checks = _check_mask(len(T_grid) * len(N_grid)).reshape(len(T_grid), len(N_grid))
     topology = SingleLine(delta=delta)
-    points = [(topology, float(T), float(N), k, bool(checks[i * len(N_grid) + j]))
-              for i, T in enumerate(T_grid) for j, N in enumerate(N_grid)]
-    records = _run_points(_fixed_point, points, workers)
+    rows = [(topology, float(T), [float(N) for N in N_grid], k, checks[i].tolist())
+            for i, T in enumerate(T_grid)]
+    records = tuple(chain.from_iterable(_run_points(_fixed_row, rows, workers)))
     return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records)
 
 
@@ -216,13 +233,12 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120,
     is always in view.
     """
     a_values = [float(a) for a in np.atleast_1d(a_values)]
-    checks = _check_mask(len(a_values) * points)
-    pts = []
-    for i, a in enumerate(a_values):
-        for j, N in enumerate(np.linspace(0.0, _SLICE_SPAN * pi_pulse_number(T, a), points)):
-            pts.append((TwoLine(a=a, delta=delta), float(T), float(N), k,
-                        bool(checks[i * points + j])))
-    records = _run_points(_fixed_point, pts, workers)
+    checks = _check_mask(len(a_values) * points).reshape(len(a_values), points)
+    rows = [(TwoLine(a=a, delta=delta), float(T),
+             np.linspace(0.0, _SLICE_SPAN * pi_pulse_number(T, a), points).tolist(), k,
+             checks[i].tolist())
+            for i, a in enumerate(a_values)]
+    records = tuple(chain.from_iterable(_run_points(_fixed_row, rows, workers)))
     return SweepResult(axes={"a": np.asarray(a_values), "T": np.asarray([T])},
                        records=records)
 

@@ -195,6 +195,29 @@ class TestSweep:
             main(["sweep", "--preset", "fig3", flag, value])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("args, key", [
+        (["--preset", "fig2", "--T", "0.2"], "T"),
+        (["--preset", "fig2", "--T-grid", "0.1,0.2"], "t_grid"),
+        (["--preset", "fig3", "--N-grid", "1,2"], "n_grid"),
+        (["--preset", "fig3", "--T-grid", "0.7"], "t_grid"),
+        (["--preset", "fig4", "--a-grid", "0.3"], "a_grid"),
+        (["--preset", "fig5", "--T", "0.2"], "T"),
+        (["--preset", "fig5", "--a-grid", "0.3"], "a_grid"),
+        (["--preset", "custom", "--T", "0.3", "--T-grid", "0.1", "--N-grid", "1"], "T"),
+        (["--preset", "custom", "--a-grid", "0.3", "--T-grid", "0.1", "--N-grid", "1,2"],
+         "n_grid"),
+        (["--T-grid", "0.1", "--N-grid", "1", "--T", "0.2"], "T"),
+    ])
+    def test_inputs_the_preset_ignores_exit_2(self, args, key, capsys):
+        assert main(["sweep", *args]) == 2
+        assert f"does not read {key!r}" in capsys.readouterr().err
+
+    def test_ignored_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig3", "n_grid": [1.0]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "does not read 'n_grid'" in capsys.readouterr().err
+
     def test_two_line_grid(self, tmp_path):
         out = tmp_path / "two.csv"
         rc = main(["sweep", "--preset", "custom", "--a-grid", "0.5",

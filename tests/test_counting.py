@@ -158,6 +158,62 @@ class TestInvertMoments:
         assert np.all(probs >= 0.0)
 
 
+def formula_inversion(moments):
+    """P_n = sum_{m>=n} (-1)^(m-n) C(m, n) N_m, written as the formula reads."""
+    full = np.concatenate(([1.0], moments))
+    k = len(moments)
+    return np.array([sum((-1) ** (m - n) * math.comb(m, n) * full[m] for m in range(n, k + 1))
+                     for n in range(k + 1)])
+
+
+def formula_moments(probs, k):
+    """N_m = sum_{n>=m} C(n, m) P_n, written as the formula reads."""
+    return np.array([sum(math.comb(n, m) * probs[n] for n in range(m, len(probs)))
+                     for m in range(1, k + 1)])
+
+
+class TestInversionArithmetic:
+    def test_bit_identical_to_the_formula(self):
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            k = 1 + i % 16
+            probs = rng.dirichlet(np.full(k + 1, rng.uniform(0.05, 3.0)))
+            moments = formula_moments(probs, k)
+            got = ps.moments_from_probabilities(probs, k)
+            assert np.array_equal(got, moments)
+            assert np.array_equal(np.signbit(got), np.signbit(moments))
+            want = formula_inversion(moments)
+            got = ps.invert_moments(moments)
+            assert np.array_equal(got, np.where(want < 0, 0.0, want))
+            assert np.array_equal(np.signbit(got), np.signbit(np.where(want < 0, 0.0, want)))
+
+    def test_moments_beyond_the_distribution_are_zero(self):
+        assert np.array_equal(ps.moments_from_probabilities([0.25, 0.75], 3), [0.75, 0.0, 0.0])
+
+
+class TestCutoffType:
+    @pytest.mark.parametrize("call", [
+        lambda k: ps.photon_statistics(PI_PULSE, k=k),
+        lambda k: ps.photon_statistics(PI_PULSE, method="jump-counting", k=k),
+        lambda k: ps.binomial_moments(PI_PULSE, k),
+        lambda k: ps.counting_distribution(PI_PULSE, k),
+        lambda k: ps.maximize_p1(ps.SingleLine(), 0.1, k=k),
+        lambda k: ps.sweep_single_line(T_grid=[0.1], N_grid=[1.0, 2.0], k=k),
+        lambda k: ps.sweep_two_line_slices([0.5], T=0.1, points=3, k=k),
+    ], ids=["moments", "counting", "binomial_moments", "counting_distribution",
+            "maximize_p1", "sweep_single_line", "sweep_two_line_slices"])
+    @pytest.mark.parametrize("k", [2.5, 6.0, True, 0, -2])
+    def test_cutoff_must_be_a_positive_integer(self, call, k):
+        with pytest.raises(SpecError, match=rf"cutoff k must be an integer >= 1, got k={k!r}"):
+            call(k)
+
+    def test_numpy_integer_accepted(self):
+        stats = ps.photon_statistics(PI_PULSE, k=np.int64(6))
+        assert stats.cutoff_k == 6
+        assert np.array_equal(stats.probabilities,
+                              ps.photon_statistics(PI_PULSE, k=6).probabilities)
+
+
 class TestCountingDistribution:
     def test_single_excitation_is_fair_coin(self):
         probs = ps.counting_distribution(UNDRIVEN_EXCITED, 4, rho0=ps.EXCITED)
@@ -268,13 +324,15 @@ BEYOND_CAP = ps.DriveSpec(ps.SquarePulse(T=20.0, N=400.0))
 class TestCutoffLadder:
     @pytest.fixture
     def cutoffs(self, monkeypatch):
-        """Cutoffs passed to each hierarchy routine, in call order."""
+        """Cutoffs of each route's hierarchy evaluations, in call order."""
         seen = {"binomial_moments": [], "counting_distribution": []}
-        for name, calls in seen.items():
-            def recording(spec, k, rho0=None, _calls=calls, _fn=getattr(counting, name)):
-                _calls.append(k)
-                return _fn(spec, k, rho0)
-            monkeypatch.setattr(counting, name, recording)
+        original = counting._level_traces
+
+        def recording(specs, k, rho0, resolved):
+            seen["counting_distribution" if resolved else "binomial_moments"].append(k)
+            return original(specs, k, rho0, resolved)
+
+        monkeypatch.setattr(counting, "_level_traces", recording)
         return seen
 
     def test_moment_route_climbs_to_the_cap(self, cutoffs):

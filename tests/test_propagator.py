@@ -7,8 +7,8 @@ from conftest import random_density, time_grid
 from photonstat import propagator
 from photonstat.counting import verify_dual
 from photonstat.errors import SpecError
-from photonstat.liouville import drive_intervals, liouvillian_parts
-from photonstat.propagator import _cf4, advance
+from photonstat.liouville import drive_intervals
+from photonstat.propagator import _FROM_R, _TO_R, _cf4, _real, advance, real_parts
 from photonstat.trajectories import _MAX_STEP, _pieces
 
 
@@ -187,12 +187,12 @@ class TestSampledIntegrator:
     def test_cf4_is_fourth_order_on_the_onset(self):
         # the onset [0, 0.05] has a square-root amplitude in t; in the graded
         # variable halving the step still divides the difference by ~16
-        static, _ = liouvillian_parts(RAMP.topology)
-        njump = ps.jump_superop(RAMP)
+        # _cf4 works in the real coordinates r of the propagator
+        static, _, njump = real_parts(RAMP.topology)
         k = 3
-        level0 = np.zeros(4 * (k + 1), dtype=complex)
+        level0 = np.zeros(4 * (k + 1))
         level0[0] = 1.0
-        for base, y in ((static, np.eye(4, dtype=complex)), (static - njump, level0)):
+        for base, y in ((static, np.eye(4)), (static - njump, level0)):
             runs = [_cf4(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
             coarse = np.max(np.abs(runs[1] - runs[0]))
             fine = np.max(np.abs(runs[2] - runs[1]))
@@ -241,3 +241,59 @@ class TestSampledIntegrator:
                     assert len(inside) > 1
                     assert max(p.length for p in inside) <= _MAX_STEP * (1 + 1e-12)
             assert next(pieces, None) is None
+
+
+TOPOLOGIES = [ps.SingleLine(), ps.SingleLine(delta=0.7), ps.TwoLine(a=0.3, delta=-1.2)]
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_generators_are_real_and_round_trip(self, topology):
+        static, drive = ps.liouville.liouvillian_parts(topology)
+        spec = ps.DriveSpec(ps.SquarePulse(T=0.3, N=12.0), topology)
+        originals = (static, drive, ps.jump_superop(spec))
+        for real, original in zip(real_parts(topology), originals):
+            assert real.dtype == np.float64
+            assert np.max(np.abs(_FROM_R @ real @ _TO_R - original)) <= 1e-15
+        gen = ps.build_liouvillian(spec, 0.1)
+        assert np.max(np.abs(_FROM_R @ _real(gen) @ _TO_R - gen)) <= 1e-15
+        assert np.array_equal(_TO_R @ _FROM_R, np.eye(4))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_non_hermitian_states_propagate_exactly(self, topology):
+        # advance works in r but takes and returns column-stacked states of
+        # any kind; compare with the dense column-stacked hierarchy
+        spec = ps.DriveSpec(ps.SquarePulse(T=0.3, N=12.0), topology)
+        njump = ps.jump_superop(spec)
+        k = 3
+        rng = np.random.default_rng(8)
+        y = rng.normal(size=(4 * (k + 1), 2)) + 1j * rng.normal(size=(4 * (k + 1), 2))
+        for resolved in (False, True):
+            expected = y
+            for t0, t1, gen in drive_intervals(spec):
+                diag = gen - njump if resolved else gen
+                expected = expm(block_hierarchy(diag, njump, k) * (t1 - t0)) @ expected
+            got = advance(spec, y, 0.0, spec.t_end, 1e-9, resolved)
+            assert got.shape == y.shape
+            assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    def test_stacked_specs_match_each_alone(self):
+        specs = [ps.DriveSpec(ps.SquarePulse(T=0.4, N=n)) for n in (0.0, 3.0, 3.0, 40.0)]
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=(len(specs), 12)) + 1j * rng.normal(size=(len(specs), 12))
+        for resolved in (False, True):
+            stacked = advance(specs, y, 0.0, specs[0].t_end, 1e-9, resolved)
+            for spec, y_i, got in zip(specs, y, stacked):
+                assert np.array_equal(got, advance(spec, y_i, 0.0, spec.t_end, 1e-9, resolved))
+
+    @pytest.mark.parametrize("other", [
+        ps.DriveSpec(ps.SquarePulse(T=0.5, N=3.0)),
+        ps.DriveSpec(ps.SquarePulse(T=0.4, N=3.0), ps.SingleLine(delta=1.0)),
+        ps.DriveSpec(ps.SampledPulse((0.0, 0.2, 0.4), (0.0, 5.0, 0.0))),
+    ])
+    def test_stacks_must_share_topology_and_breakpoints(self, other):
+        first = ps.DriveSpec(ps.SquarePulse(T=0.4, N=3.0))
+        y = np.zeros((2, 8))
+        y[:, 0] = 1.0
+        with pytest.raises(SpecError):
+            advance([first, other], y, 0.0, first.t_end, 1e-9)

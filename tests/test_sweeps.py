@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import photonstat as ps
-from photonstat import counting, sweeps
+from photonstat import counting, propagator, sweeps
 from photonstat.errors import NumericalError, SpecError
 from photonstat.sweeps import _golden_max
 
@@ -156,3 +156,63 @@ class TestSweepTwoLine:
         assert p1.max() > 0.6
         n_best = n_vals[int(np.argmax(p1))]
         assert abs(n_best - ps.pi_pulse_number(0.1, a=0.5)) < 0.3 * ps.pi_pulse_number(0.1, a=0.5)
+
+
+def assert_same_stats(got, want):
+    assert np.array_equal(got.probabilities, want.probabilities)
+    assert np.array_equal(got.moments, want.moments)
+    assert got.cutoff_k == want.cutoff_k
+    assert got.tail_bound == want.tail_bound
+
+
+class TestSweepRows:
+    """A sweep row is one stacked hierarchy per cutoff rung; every point must
+    come out bit for bit as if it were computed alone."""
+
+    def test_single_line_rows_equal_points_alone(self):
+        # T = 10 climbs from k = 4 at N = 0 to k = 16 at N = 80; 120 points
+        # span several stacked scipy calls per rung
+        n_grid = np.linspace(0.0, 80.0, 120)
+        assert len(n_grid) > propagator._STACK_POINTS
+        result = ps.sweep_single_line(T_grid=[0.05, 10.0], N_grid=n_grid)
+        cutoffs = {rec.stats.cutoff_k for rec in result.records}
+        assert {4, 16} <= cutoffs
+        for rec in result.records:
+            assert_same_stats(rec.stats, ps.photon_statistics(
+                ps.DriveSpec(ps.SquarePulse(T=rec.T, N=rec.N))))
+
+    def test_two_line_slices_equal_points_alone(self):
+        result = ps.sweep_two_line_slices([0.01, 1.0], T=4.5, points=30)
+        assert len({rec.stats.cutoff_k for rec in result.records}) > 2
+        for rec in result.records:
+            assert_same_stats(rec.stats, ps.photon_statistics(
+                ps.DriveSpec(ps.SquarePulse(T=rec.T, N=rec.N), ps.TwoLine(a=rec.a))))
+
+    def test_one_pulse_exponential_call_per_rung(self, monkeypatch):
+        stacks = []
+
+        def recording(a):
+            if a.ndim == 3:
+                stacks.append(len(a))
+            return expm(a)
+
+        expm = propagator.expm
+        monkeypatch.setattr(propagator, "expm", recording)
+        result = ps.sweep_single_line(T_grid=[2.0], N_grid=np.linspace(0.0, 120.0, 24))
+        top = max(rec.stats.cutoff_k for rec in result.records)
+        rungs = range(counting.START_CUTOFF, top + 1, 2)
+        assert len(stacks) == len(rungs)
+        # a point leaves the stack once its rung settles it
+        assert stacks == [sum(rec.stats.cutoff_k >= k for rec in result.records) for k in rungs]
+        assert stacks[0] == 24
+        assert all(isinstance(rec.stats.cutoff_k, int) for rec in result.records)
+
+    @pytest.mark.parametrize("n_grid", [[50.0, 120.0, 200.0], [50.0, 200.0, 120.0]])
+    def test_first_failing_point_raises_in_grid_order(self, n_grid):
+        # at T = 10, N = 120 fails its inversion and N = 200 its tail test
+        with pytest.raises(NumericalError) as alone:
+            ps.photon_statistics(ps.DriveSpec(ps.SquarePulse(T=10.0, N=n_grid[1])))
+        with pytest.raises(NumericalError) as row:
+            ps.sweep_single_line(T_grid=[10.0], N_grid=n_grid)
+        assert type(row.value) is type(alone.value)
+        assert str(row.value) == str(alone.value)
