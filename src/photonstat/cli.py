@@ -364,6 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=float, help="two-line coupling ratio")
         p.add_argument("--window", type=float, help="counting window override")
         p.add_argument("--initial", choices=["ground", "excited"])
+        # a sampled envelope has no flag; it is read from the config file only
+        p.set_defaults(samples=None)
 
     sim = sub.add_parser("simulate", help="count statistics for one drive")
     one_drive(sim)
@@ -406,6 +408,9 @@ def _check_sweep_inputs(data: dict) -> None:
             raise ConfigError(f"sweep preset {preset!r} does not read {key!r}")
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
     """Config file keys overridden by explicit flags; grid strings parsed."""
     data: dict = {}
@@ -414,8 +419,12 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        # the keys a command reads are the dests of its own parser
+        for key in loaded:
+            if key in _CONFIG_KEYS and key not in vars(ns):
+                raise ConfigError(f"{ns.command} does not read config key {key!r}")
         data.update(loaded)
-    for name in (f.name for f in fields(RunConfig)):
+    for name in _CONFIG_KEYS:
         value = getattr(ns, name, None)
         if value is not None:
             data[name] = value

@@ -16,6 +16,14 @@ at the boundary of :func:`advance`, but propagated in the Hermitian
 coordinates r = (rho_gg, rho_ee, Re rho_eg, Im rho_eg). Every generator,
 drive term and jump superoperator of the model preserves Hermiticity, so in
 r it is real and every hierarchy exponential is taken in float64.
+
+Every exponential is one of the hierarchy generator, block lower-bidiagonal
+with equal blocks, so it is block lower-triangular Toeplitz (Van Loan, IEEE
+TAC 23, 395 (1978)) and fixed by its first block column. :func:`_block_expm`
+computes that column by truncated-Taylor scaling and squaring (Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in the algebra of 4x4 matrix
+polynomials truncated at level k, so a product costs one ``4 x 4(k+1)`` by
+``4(k+1) x 4(k+1)`` matrix product instead of a dense ``4(k+1)``-cube one.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConvergenceError, SpecError
 from .liouville import (
@@ -51,13 +58,10 @@ TRACE_DRIFT = 1e-12
 _CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _CF4_WEIGHTS = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
                          [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
-# Steps whose exponentials are one stacked scipy call. A larger stack saves
-# little time (scipy still loops over the slices) but raises peak memory.
-_STACK_STEPS = 4
-# Specs whose interval exponentials are one stacked scipy call in advance;
-# results do not depend on it, peak memory grows with it (37 kB per spec at
-# k = 16).
-_STACK_POINTS = 24
+# Steps whose exponentials are one stacked kernel call. Results do not
+# depend on it; a call has a fixed cost of ~30 small numpy operations,
+# and peak memory grows by ~0.15 MB per step at k = 16.
+_STACK_STEPS = 16
 # First-pass step count per sqrt(V) tol^(-1/4) (see _integrate_part); at
 # this value the first halved-step check passes on most parts of 1-3 knot
 # envelopes, and below ~0.1 most parts need a second round.
@@ -126,29 +130,120 @@ def _rebase(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (u @ y.reshape(y.shape[:-2] + (-1, 4, y.shape[-1]))).reshape(y.shape)
 
 
+# Taylor degrees of the kernel, 4 r - 1 for r = 1..5: the polynomial is
+# evaluated as r blocks of _POWERS powers, Horner-combined in X^_POWERS
+# (Paterson-Stockmeyer). Degree m is used on a scaled 1-norm up to theta_m,
+# where the remainder bound theta^(m+1)/(m+1)! of the series reaches 2^-53.
+_POWERS = 4
+_DEGREES = tuple(range(_POWERS - 1, 20, _POWERS))
+_THETA = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1)) for m in _DEGREES)
+# Taylor coefficient of X^(4 b + j) at [degree index, b, j]; zero above the degree
+_COEFFICIENTS = np.array([[1.0 / math.factorial(j) if j <= m else 0.0 for j in range(20)]
+                          for m in _DEGREES]).reshape(len(_DEGREES), -1, _POWERS)
+_EYE = np.eye(4)
+
+
+def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rising 1-norm capacities, the (degree index, squarings) of each, and
+    the scale factor ``2^-squarings``.
+
+    A Horner step in X^4 is one product and one sum; a squaring is one
+    product, one Toeplitz copy and one masked copy. Counting a squaring as
+    1.5 steps, degree index i with s squarings costs ``2 i + 3 s``, and the
+    entry picked for a norm is the cheapest whose capacity ``theta_m 2^s``
+    covers it. Larger norms and NaN take the last entry.
+    """
+    options = sorted((2 * i + 3 * s, -theta * 2.0 ** s, i, s)
+                     for i, theta in enumerate(_THETA) for s in range(64))
+    table = []
+    for _, capacity, i, s in options:
+        if not table or -capacity > table[-1][0]:
+            table.append((-capacity, i, s))
+    table += [(math.inf, i, s), (math.nan, i, s)]
+    capacity, degree, squarings = (np.array(col) for col in zip(*table))
+    return capacity, np.array([degree, squarings]), np.ldexp(1.0, -squarings)
+
+
+_CAPACITY, _CHOICE, _SCALE = _scaling_table()
+
+
+def _toeplitz(buf: np.ndarray, k: int) -> np.ndarray:
+    """The ``(n, 4(k+1), 4(k+1))`` matrices whose block row p is columns
+    ``4(k-p) .. 4(2k-p)+3`` of the rows ``buf`` (shape ``(n, 4, 4(2k+1))``,
+    C-contiguous): with ``buf = [0 ... 0, F_0, ..., F_k]`` block (p, m) is
+    F_(m-p), and with ``buf = [F_k, ..., F_0, 0 ... 0]`` block (i, j) is F_(i-j)."""
+    s0, s1, s2 = buf.strides
+    window = np.ndarray((len(buf), k + 1, 4, 4 * k + 4), buf.dtype, buf, 4 * k * s2,
+                        (s0, -4 * s2, s1, s2))
+    return window.reshape(len(buf), 4 * k + 4, 4 * k + 4)
+
+
+def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """Exponential over ``dt`` of the hierarchy generator with diagonal blocks
+    ``diag`` (shape ``(..., 4, 4)``) and feed ``feed``, levels 0..k, as a dense
+    block lower-triangular matrix.
+
+    A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its
+    first block column; a product with another is that row times the
+    other's :func:`_toeplitz` matrix. Each slice picks its Taylor degree and
+    scaling from its own 1-norm ``max col-sum(|D| + |J|) dt``. A slice of
+    lower degree has zero coefficients in the higher blocks and one of fewer
+    squarings is masked out of the later ones, so every slice comes out bit
+    for bit as alone.
+    """
+    D = diag.reshape(-1, 4, 4)
+    n, d, w = len(D), 4 * k + 4, 8 * k + 4
+    # elementwise sums keep the norm, and so the choice, independent of the stack
+    a = np.abs(D) + np.abs(feed)
+    a = a[:, :2] + a[:, 2:]
+    pick = np.searchsorted(_CAPACITY, (a[:, 0] + a[:, 1]).max(-1) * dt)
+    degree, squarings = _CHOICE[:, pick]
+    # padded rows [0 ... 0, Y_0, ..., Y_k] of Y = I, X, X^2, X^3 for the
+    # scaled generator X = (D + J eps) dt 2^-s
+    P = np.zeros((_POWERS, n, 4, w))
+    P[0, :, :, 4 * k:4 * k + 4] = _EYE
+    P[1, :, :, 4 * k:4 * k + 4] = D
+    if k:
+        P[1, :, :, 4 * k + 4:4 * k + 8] = feed
+    P[1] *= (dt * _SCALE[pick])[:, None, None]
+    step = _toeplitz(P[1], k)
+    for j in range(2, _POWERS):
+        np.matmul(P[j - 1, :, :, 4 * k:], step, out=P[j, :, :, 4 * k:])
+    blocks = int(degree.max()) + 1
+    terms = _COEFFICIENTS[degree, :blocks] @ P.reshape(_POWERS, n, -1).transpose(1, 0, 2)
+    terms = terms.reshape(n, blocks, 4, w)[..., 4 * k:]
+    # Horner in X^4 over the blocks, into the padded row E of P[1]
+    E = P[1]
+    out = terms[:, -1]
+    if blocks > 1:
+        np.matmul(P[-1, :, :, 4 * k:], step, out=E[:, :, 4 * k:])
+        step = _toeplitz(E, k)
+        for b in range(blocks - 2, -1, -1):
+            out = out @ step
+            out += terms[:, b]
+    E[:, :, 4 * k:] = out
+    fewest = squarings.min()
+    for j in range(int(squarings.max())):
+        np.copyto(E[:, :, 4 * k:], E[:, :, 4 * k:] @ _toeplitz(E, k),
+                  where=True if j < fewest else (squarings > j)[:, None, None])
+    # the dense matrix reads the row reversed blockwise
+    rev = np.zeros_like(E)
+    rev[:, :, :d].reshape(n, 4, k + 1, 4)[:] = E[:, :, 4 * k:].reshape(n, 4, k + 1, 4)[:, :, ::-1]
+    return _toeplitz(rev, k).reshape(diag.shape[:-2] + (d, d))
+
+
 @lru_cache(maxsize=32)
-def _expm_cached(key: bytes, dim: int, dt: float) -> np.ndarray:
-    gen = np.frombuffer(key, dtype=float).reshape(dim, dim)
-    out = expm(gen * dt)
+def _expm_cached(diag_key: bytes, feed_key: bytes, k: int, dt: float) -> np.ndarray:
+    diag, feed = (np.frombuffer(key).reshape(4, 4) for key in (diag_key, feed_key))
+    out = _block_expm(diag, feed, k, dt)
     out.setflags(write=False)
     return out
 
 
-def expm_interval(gen: np.ndarray, dt: float) -> np.ndarray:
-    """Cached ``expm(gen * dt)`` of a float64 ``gen``; callers must not mutate the result."""
-    return _expm_cached(gen.tobytes(), gen.shape[0], float(dt))
-
-
-def _hierarchy_blocks(diag: np.ndarray, feed: np.ndarray, k: int) -> np.ndarray:
-    """Block lower-bidiagonal generator of levels 0..k, broadcast over the
-    leading axes of ``diag`` (shape ``(..., 4, 4)``)."""
-    dim = 4 * (k + 1)
-    big = np.zeros(diag.shape[:-2] + (dim, dim), dtype=np.result_type(diag, feed))
-    for j in range(k + 1):
-        big[..., 4 * j:4 * j + 4, 4 * j:4 * j + 4] = diag
-        if j:
-            big[..., 4 * j:4 * j + 4, 4 * j - 4:4 * j] = feed
-    return big
+def expm_interval(diag: np.ndarray, feed: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """Cached :func:`hierarchy_exponential` of one float64 4x4 ``diag`` and
+    ``feed``; callers must not mutate the result."""
+    return _expm_cached(diag.tobytes(), feed.tobytes(), k, float(dt))
 
 
 def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray, k: int,
@@ -156,30 +251,12 @@ def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray, k: int,
     """Exponential over ``dt`` of the hierarchy generator of levels 0..k.
 
     One 4x4 ``diag`` gives one cached exponential (see :func:`expm_interval`);
-    a stack of shape ``(n, 4, 4)`` gives ``n`` exponentials from one scipy
-    call, each slice computed exactly as if it were alone.
+    a stack of shape ``(n, 4, 4)`` gives ``n`` exponentials from one
+    :func:`_block_expm` call, each slice computed exactly as if it were alone.
     """
-    gen = _hierarchy_blocks(diag, feed, k)
-    if gen.ndim == 2:
-        return expm_interval(gen, dt)
-    return expm(gen * dt)
-
-
-def _exponentials(diag: np.ndarray, feed: np.ndarray, k: int, dt: float,
-                  y: np.ndarray) -> np.ndarray:
-    """``y[i]`` advanced by the hierarchy exponential of ``diag[i]`` over ``dt``.
-
-    A stack of equal slices (an undriven tail shared by a row of specs) is
-    one cached exponential; other stacks go to scipy ``_STACK_POINTS``
-    slices at a time. Either way slice i is computed exactly as if alone.
-    """
-    if (diag == diag[0]).all():
-        return hierarchy_exponential(diag[0], feed, k, dt) @ y
-    out = np.empty(y.shape, dtype=np.result_type(diag, y))
-    for lo in range(0, len(y), _STACK_POINTS):
-        part = slice(lo, lo + _STACK_POINTS)
-        out[part] = hierarchy_exponential(diag[part], feed, k, dt) @ y[part]
-    return out
+    if diag.ndim == 2:
+        return expm_interval(diag, feed, k, dt)
+    return _block_expm(diag, feed, k, dt)
 
 
 def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
@@ -313,7 +390,10 @@ def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
             r[0] = _integrate_part(first, static - jump if resolved else static, r[0], a, b, tol)
             continue
         diag = np.array(gens)
-        r = _exponentials(diag - jump if resolved else diag, jump, k, b - a, r)
+        # equal slices (an undriven tail shared by a row) are one cached exponential
+        if (diag == diag[0]).all():
+            diag = diag[0]
+        r = hierarchy_exponential(diag - jump if resolved else diag, jump, k, b - a) @ r
     return _rebase(_FROM_R, r).reshape(y.shape)
 
 

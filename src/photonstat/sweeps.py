@@ -52,6 +52,10 @@ _CHECK_FRACTION = 0.05
 _SCAN_POINTS = 64
 _FIRST_LOBE = 1.5
 _REL_TOL = 1e-3
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# golden-section steps looked ahead: every probe they may need, under every
+# outcome of their comparisons, is evaluated in one stack (see _golden_max)
+_LOOKAHEAD = 3
 # sweep_two_line_slices: N range in pi-pulse photon numbers.
 _SLICE_SPAN = 2.0
 
@@ -67,24 +71,64 @@ def _spec_for(topology: Topology, T: float, N: float) -> DriveSpec:
     return DriveSpec(SquarePulse(T=T, N=N), topology)
 
 
+def _golden_step(state: tuple, left: bool, value) -> tuple:
+    """One golden-section step from ``(lo, hi, x1, x2, f1, f2)``: keep the
+    left subinterval if ``left``, else the right, and probe its new interior
+    point with ``value``."""
+    lo, hi, x1, x2, f1, f2 = state
+    if left:
+        hi, x2, f2 = x2, x1, f1
+        x1 = hi - _INV_PHI * (hi - lo)
+        return lo, hi, x1, x2, value(x1), f2
+    lo, x1, f1 = x1, x2, f2
+    x2 = lo + _INV_PHI * (hi - lo)
+    return lo, hi, x1, x2, f1, value(x2)
+
+
 def _golden_max(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Golden-section maximizer; ties keep the left subinterval."""
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
+    """Golden-section maximizer; ties keep the left subinterval.
+
+    ``f`` maps an array of points to their values, each independent of the
+    other points. Whenever a probe is missing, the probes of the next
+    ``_LOOKAHEAD`` steps under every outcome of their comparisons (and the
+    final pair of every branch that stops) are one call of ``f``; the steps
+    then run on those values exactly as they would one probe at a time.
+    """
+    values = {}
+
+    def is_open(state):
+        lo, hi = state[:2]
+        return hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12)
+
+    def probes(state, branches, depth, out):
+        if not is_open(state):
+            out += [state[0], 0.5 * (state[0] + state[1])]
+        elif depth:
+            for left in branches:
+                probes(_golden_step(state, left, out.append), (True, False), depth - 1, out)
+
+    def fill(state, branches, points):
+        probes(state, branches, _LOOKAHEAD, points)
+        points = [x for x in dict.fromkeys(points) if x not in values]
+        values.update(zip(points, f(np.array(points))))
+
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    fill((lo, hi, x1, x2, None, None), (True, False), [x1, x2])
+    state = (lo, hi, x1, x2, values[x1], values[x2])
+    while is_open(state):
+        left = state[4] >= state[5]
+        step = _golden_step(state, left, values.get)
+        if None in step[4:]:
+            fill(state, (left,), [])
+            step = _golden_step(state, left, values.get)
+        state = step
+    lo, hi = state[:2]
     mid = 0.5 * (lo + hi)
+    if lo not in values or mid not in values:
+        fill(state, (), [])
     # prefer the left edge when the surface is flat to 1e-9
-    return lo if f(lo) + 1e-9 >= f(mid) else mid
+    return lo if values[lo] + 1e-9 >= values[mid] else mid
 
 
 @dataclass(frozen=True)
@@ -122,16 +166,14 @@ def maximize_p1(topology: Topology, T: float, n_range=None,
             f"(pi-pulse at N = {n_pi:.4g})"
         )
 
-    def p1(n: float) -> float:
-        return float(one_photon_probability(topology, T, [n])[0])
-
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     values = one_photon_probability(topology, T, grid)
     i_best = int(np.argmax(values))
     at_boundary = i_best in (0, len(grid) - 1)
     b_lo = grid[max(i_best - 1, 0)]
     b_hi = grid[min(i_best + 1, len(grid) - 1)]
-    n_star = _golden_max(p1, float(b_lo), float(b_hi), _REL_TOL)
+    n_star = _golden_max(lambda ns: one_photon_probability(topology, T, ns),
+                         float(b_lo), float(b_hi), _REL_TOL)
     stats = photon_statistics(_spec_for(topology, T, n_star), k=k)
     return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
 

@@ -116,6 +116,12 @@ class TestSimulate:
         assert rc == 2
         assert "widht" in capsys.readouterr().err
 
+    def test_config_key_simulate_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.1, "N": 1.0, "compare": True}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "simulate does not read config key 'compare'" in capsys.readouterr().err
+
     def test_non_finite_detuning_exits_2(self, capsys):
         rc = main(["simulate", "--delta", "nan"])
         assert rc == 2
@@ -218,6 +224,12 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "does not read 'n_grid'" in capsys.readouterr().err
 
+    def test_single_drive_config_keys_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig3", "seed": 3, "N": 5.0, "method": "moments"}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "sweep does not read config key 'seed'" in capsys.readouterr().err
+
     def test_two_line_grid(self, tmp_path):
         out = tmp_path / "two.csv"
         rc = main(["sweep", "--preset", "custom", "--a-grid", "0.5",
@@ -284,6 +296,12 @@ class TestTraj:
         rc = main(["traj", "--config", str(cfg)])
         assert rc == 2
         assert "1.5" in capsys.readouterr().err
+
+    def test_config_key_traj_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.1, "N": 1.0, "n_traj": 10, "method": "moments"}))
+        assert main(["traj", "--config", str(cfg)]) == 2
+        assert "traj does not read config key 'method'" in capsys.readouterr().err
 
     def test_json_carries_config_echo(self, tmp_path):
         out = tmp_path / "t.json"

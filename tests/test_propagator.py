@@ -8,7 +8,17 @@ from photonstat import propagator
 from photonstat.counting import verify_dual
 from photonstat.errors import SpecError
 from photonstat.liouville import drive_intervals
-from photonstat.propagator import _FROM_R, _TO_R, _cf4, _real, advance, real_parts
+from photonstat.propagator import (
+    _CAPACITY,
+    _CHOICE,
+    _FROM_R,
+    _TO_R,
+    _block_expm,
+    _cf4,
+    _real,
+    advance,
+    real_parts,
+)
 from photonstat.trajectories import _MAX_STEP, _pieces
 
 
@@ -297,3 +307,41 @@ class TestRealCoordinates:
         y[:, 0] = 1.0
         with pytest.raises(SpecError):
             advance([first, other], y, 0.0, first.t_end, 1e-9)
+
+
+def norm_spread_stack(topology, n, rng, dt=1.0):
+    """Hierarchy blocks of ``n`` drives whose 1-norms ``max col-sum(|D| + |J|) dt``
+    are log-spaced over [1e-4, 400], with the feed scaled along."""
+    static, drive, jump = real_parts(topology)
+    diag = static - jump * rng.integers(0, 2) + rng.uniform(0, 30, n)[:, None, None] * drive
+    feed = np.broadcast_to(jump, diag.shape)
+    norms = (np.abs(diag) + np.abs(feed)).sum(-2).max(-1)
+    scale = (np.geomspace(1e-4, 400.0, n) if n > 1 else np.array([400.0])) / (norms * dt)
+    return diag * scale[:, None, None], feed * scale[:, None, None]
+
+
+class TestBlockExponential:
+    @pytest.mark.parametrize("topology", [ps.SingleLine(), ps.TwoLine(a=0.3)])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_matches_scipy_on_dense_generator(self, topology, k):
+        rng = np.random.default_rng(k)
+        n = (1, 2, 5, 17, 64)[k % 5]
+        dt = float(rng.uniform(0.5, 2.0))
+        diag, feed = norm_spread_stack(topology, n, rng, dt)
+        got = _block_expm(diag, feed, k, dt)
+        assert got.shape == (n, 4 * (k + 1), 4 * (k + 1))
+        for d, f, g in zip(diag, feed, got):
+            ref = expm(block_hierarchy(d, f, k) * dt)
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_slices_with_different_choices_equal_each_alone(self):
+        rng = np.random.default_rng(4)
+        for topology in (ps.SingleLine(delta=0.7), ps.TwoLine(a=0.3)):
+            diag, feed = norm_spread_stack(topology, 24, rng)
+            norms = (np.abs(diag) + np.abs(feed)).sum(-2).max(-1)
+            degree, squarings = _CHOICE[:, np.searchsorted(_CAPACITY, norms)]
+            assert len(set(degree)) > 2 and len(set(squarings)) > 5
+            for k in (0, 1, 6, 16):
+                stack = _block_expm(diag, feed, k, 1.0)
+                for i in rng.permutation(24)[:8]:
+                    assert np.array_equal(stack[i], _block_expm(diag[i], feed[i], k, 1.0))
