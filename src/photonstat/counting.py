@@ -19,13 +19,15 @@ Two independent routes produce the count distribution over the window:
   ``P_n = trace(rho_n(t_end))`` directly.
 
 Both hierarchies are block lower-bidiagonal linear systems, advanced by
-:func:`photonstat.propagator.advance`: exactly, with one matrix
-exponential per constant-flux interval (every interval of a square pulse,
-and the flat parts and undriven tail of a sampled envelope), and with the
+:func:`photonstat.propagator.advance` up to the pulse end: exactly, with
+one matrix exponential per constant-flux interval (every interval of a
+square pulse, and the flat parts of a sampled envelope), and with the
 fourth-order commutator-free Magnus scheme CF4, verified by step halving,
-where a sampled envelope varies. A row of specs that share topology and
-breakpoints (a sweep row) climbs the cutoff ladder together, one stacked
-hierarchy per rung over its points still short of their criterion.
+where a sampled envelope varies. The undriven tail from the pulse end to
+``t_end`` adds to every level trace in closed form (:func:`_end_traces`).
+A row of specs that share topology and breakpoints (a sweep row) climbs
+the cutoff ladder together, one stacked hierarchy per rung over its points
+still short of their criterion.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ from .liouville import (
     DriveSpec,
     SquarePulse,
     Topology,
+    decay_channels,
     drive_coefficient,
     jump_superop,
+    total_decay_rate,
     vectorize,
 )
 from .propagator import (
+    _block_expm,
     advance,
-    hierarchy_exponential,
     propagator_between,
     real_parts,
     validate_density,
@@ -61,10 +65,12 @@ __all__ = [
     "one_photon_probability", "verify_dual",
 ]
 
-# Cutoff policy: raise k until the top moment is below TAIL_TOLERANCE, which
-# bounds the inversion's truncation remainder, C(k+1, n) * N_{k+1}. A drive
-# whose top moment is still above it at MAX_CUTOFF raises TailError instead
-# of inverting a truncated series.
+# Cutoff policy: raise k until the top moment N_k is below TAIL_TOLERANCE,
+# and report N_k as the tail bound. N_k does not bound the inversion's
+# truncation error in P_n: on the fig2 map that error reaches 7.1e-7 where
+# N_k < 1e-8 (ROADMAP.md, item 3). A drive whose top moment is still above
+# TAIL_TOLERANCE at MAX_CUTOFF raises TailError instead of inverting a
+# truncated series.
 TAIL_TOLERANCE = 1e-8
 MAX_CUTOFF = 16
 START_CUTOFF = 4
@@ -81,8 +87,10 @@ class PhotonStats:
     """Binomial moments and count probabilities for one run.
 
     ``moments[m-1]`` holds the m-th binomial moment for m = 1..k and
-    ``probabilities[n]`` holds P_n for n = 0..k. ``tail_bound`` estimates
-    the probability mass ignored beyond the cutoff.
+    ``probabilities[n]`` holds P_n for n = 0..k. ``tail_bound`` is the top
+    moment N_k for moment inversion and the missing mass ``1 - sum P_n``
+    for jump counting. The former is not a bound on the error of the P_n
+    (ROADMAP.md, item 3).
     """
 
     moments: np.ndarray
@@ -111,10 +119,33 @@ def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
         raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
     y = np.zeros((len(specs), 4 * (k + 1)), dtype=complex)
     y[:, :4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
-    # per-part error budget; endpoint errors propagate non-expansively
+    # per-part error budget, the tail counted; endpoint errors propagate
+    # non-expansively
     tol = TAIL_TOLERANCE / (len(specs[0].breakpoints()) - 1)
-    levels = advance(specs, y, 0.0, specs[0].t_end, tol, resolved).reshape(len(specs), k + 1, 4)
-    return (levels[..., 0] + levels[..., 3]).real
+    # nothing drives any spec after the last pulse end
+    stop = min(max(0.0, *(spec.pulse.end for spec in specs)), specs[0].t_end)
+    levels = advance(specs, y, 0.0, stop, tol, resolved).reshape(len(specs), k + 1, 4).real
+    return _end_traces(levels[..., 0], levels[..., 3], specs[0], stop, resolved)
+
+
+def _end_traces(ground: np.ndarray, excited: np.ndarray, spec: DriveSpec, start: float,
+                resolved: bool) -> np.ndarray:
+    """Traces at ``t_end`` of the hierarchy levels 0..k (last axis) whose
+    populations at ``start`` are ``ground`` and ``excited``, when nothing
+    drives the emitter after ``start``.
+
+    Every level's excited population decays as ``exp(-gamma t)``, and the
+    monitored share ``gamma_mon / gamma`` of that decay feeds the level
+    above, so level m gains ``c`` times the excited population of level
+    m - 1 and, with ``resolved`` (jump counting), loses ``c`` times its own,
+    where ``c = (gamma_mon / gamma) (1 - exp(-gamma (t_end - start)))``.
+    """
+    rate = total_decay_rate(spec.topology)
+    monitored = next(channel.weight for channel in decay_channels(spec) if channel.monitored)
+    share = monitored / rate * -math.expm1(-rate * (spec.t_end - start))
+    fed = np.zeros_like(excited)
+    fed[..., 1:] = excited[..., :-1]
+    return ground + excited + share * (fed - excited if resolved else fed)
 
 
 def _clamp_moments(vals: np.ndarray) -> np.ndarray:
@@ -246,10 +277,10 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
     rho_1(t_end)`` follows with no cutoff from the 8x8 block generator
     ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for integrals of
     matrix exponentials), taken in the real coordinates r of
-    :mod:`photonstat.propagator`. The drive intervals of all photon numbers
-    are one stack of exponentials and share the cached undriven tail,
-    applied as a stacked matrix-vector product, so each value is bit for
-    bit independent of the other photon numbers passed with it.
+    :mod:`photonstat.propagator`. The pulses of all photon numbers are one
+    stack of exponentials, and the undriven tail is added in closed form,
+    so each value is bit for bit independent of the other photon numbers
+    passed with it.
     """
     ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
     if not (ns >= 0).all():
@@ -257,13 +288,12 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
     spec = DriveSpec(SquarePulse(T=T, N=0.0), topology)
     static, drive, jump = real_parts(topology)
     amps = np.sqrt(drive_coefficient(topology) * (ns / T))
-    pulse = hierarchy_exponential(static - jump + amps[:, None, None] * drive, jump, 1, T)
-    tail = hierarchy_exponential(static - jump, jump, 1, spec.t_end - T)
+    pulse = _block_expm(static - jump + amps[:, None, None] * drive, jump, 1, T)
     # |g><g| is the first unit vector of r, so the state after the pulse is
-    # the first column of each pulse exponential; level 1 holds rows 4..7,
-    # and the trace is r_0 + r_1
-    y = tail @ pulse[:, :, :1]
-    return y[:, 4, 0] + y[:, 5, 0]
+    # the first column of each pulse exponential, with the populations of
+    # level j at rows 4 j and 4 j + 1
+    y = pulse[:, :, 0].reshape(-1, 2, 4)
+    return _end_traces(y[..., 0], y[..., 1], spec, T, resolved=True)[:, 1]
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -300,19 +299,22 @@ def effective_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
     return drive_hamiltonian(spec, t) - 0.5j * rate * (SIGMA_PLUS @ SIGMA_MINUS)
 
 
-@lru_cache(maxsize=64)
+# Superoperators of rho -> -i[sz, rho], of D(sm) and of rho -> -i[sx, rho];
+# every generator of the model is a combination of these three.
+_PRECESSION = _locked(_hamiltonian_superop(SIGMA_Z))
+_DECAY = _locked(dissipator(SIGMA_MINUS))
+_DRIVE = _locked(_hamiltonian_superop(SIGMA_X))
+
+
 def liouvillian_parts(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """Drive-independent generator and the unit-amplitude drive term.
 
     The full generator is affine in the drive amplitude:
-    ``L(t) = static + amplitude(t) * drive``.
+    ``L(t) = static + amplitude(t) * drive``, with
+    ``static = -(delta/2) S_z + gamma D(sm)`` for the superoperator S_z of
+    ``-i[sz, .]`` and the total decay rate gamma. ``drive`` is read-only.
     """
-    static = (_hamiltonian_superop(-0.5 * topology.delta * SIGMA_Z)
-              + total_decay_rate(topology) * dissipator(SIGMA_MINUS))
-    drive = _hamiltonian_superop(SIGMA_X)
-    static.setflags(write=False)
-    drive.setflags(write=False)
-    return static, drive
+    return -0.5 * topology.delta * _PRECESSION + total_decay_rate(topology) * _DECAY, _DRIVE
 
 
 def drive_coefficient(topology: Topology) -> float:
@@ -344,13 +346,14 @@ def _monitored_jump(topology: Topology) -> np.ndarray:
     return _JUMP_TWO if isinstance(topology, TwoLine) else _JUMP_SINGLE
 
 
-def drive_intervals(spec: DriveSpec) -> list[tuple[float, float, np.ndarray | None]]:
+def drive_intervals(spec: DriveSpec) -> list[tuple[float, float, float | None]]:
     """Partition of the window at the envelope breakpoints.
 
-    Returns ``[(t0, t1, L), ...]`` covering ``[0, t_end]`` in order. ``L``
-    is the Liouvillian of an interval where the flux is constant (every
-    interval of a square pulse, flat tops and rectangles of a sampled one,
-    the undriven tail), and ``None`` where the flux varies linearly.
+    Returns ``[(t0, t1, amplitude), ...]`` covering ``[0, t_end]`` in order.
+    ``amplitude`` is the :func:`drive_amplitude` of an interval where the
+    flux is constant (every interval of a square pulse, flat tops and
+    rectangles of a sampled one, the undriven tail), and ``None`` where the
+    flux varies linearly.
     """
     flux = spec.pulse.flux
     edges = spec.breakpoints()
@@ -359,5 +362,5 @@ def drive_intervals(spec: DriveSpec) -> list[tuple[float, float, np.ndarray | No
         # the flux is linear between breakpoints: equal values at two
         # interior points make it constant across the interval
         constant = flux(0.75 * t0 + 0.25 * t1) == flux(0.25 * t0 + 0.75 * t1)
-        out.append((t0, t1, build_liouvillian(spec, 0.5 * (t0 + t1)) if constant else None))
+        out.append((t0, t1, drive_amplitude(spec, 0.5 * (t0 + t1)) if constant else None))
     return out

@@ -4,12 +4,16 @@ One routine, :func:`advance`, moves a hierarchy state across a time span
 split at the envelope breakpoints (:func:`photonstat.liouville.drive_intervals`).
 Where the flux is constant (square pulses, flat tops and rectangles of
 sampled envelopes, the undriven tail) the generator is constant, so the
-interval is one exact, cached matrix exponential of the block generator.
-Where a sampled envelope varies, the part is integrated with the
-fourth-order commutator-free Magnus scheme CF4 (two exponentials per step),
-with a halved-step Richardson check refining until the difference is below
-tolerance. The propagator of the master equation is the zeroth hierarchy
-level advanced from the identity.
+interval is one exact matrix exponential of the block generator, formed
+from the interval's drive amplitude as ``static + amplitude * drive`` and
+stacked over the specs of a sweep row. Where a sampled envelope varies,
+the part is integrated with the fourth-order commutator-free Magnus scheme
+CF4 (two exponentials per step), with a halved-step Richardson check
+refining until the difference is below tolerance. The counting routes of
+:mod:`photonstat.counting` stop at the pulse end and add the undriven tail
+in closed form. The propagator of the master equation over any part of
+the window (:func:`propagator_between`) is the zeroth hierarchy level
+advanced from the identity.
 
 States and superoperators are column-stacked (:func:`photonstat.liouville.vectorize`)
 at the boundary of :func:`advance`, but propagated in the Hermitian
@@ -111,18 +115,6 @@ def real_parts(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for op in parts:
         op.setflags(write=False)
     return parts
-
-
-@lru_cache(maxsize=256)
-def _real_intervals(spec: DriveSpec) -> tuple:
-    """:func:`drive_intervals` of ``spec`` with each constant generator in r (read-only)."""
-    out = []
-    for lo, hi, gen in drive_intervals(spec):
-        if gen is not None:
-            gen = _real(gen)
-            gen.setflags(write=False)
-        out.append((lo, hi, gen))
-    return tuple(out)
 
 
 def _rebase(u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,33 +224,6 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt: float) -> np.nda
     return _toeplitz(rev, k).reshape(diag.shape[:-2] + (d, d))
 
 
-@lru_cache(maxsize=32)
-def _expm_cached(diag_key: bytes, feed_key: bytes, k: int, dt: float) -> np.ndarray:
-    diag, feed = (np.frombuffer(key).reshape(4, 4) for key in (diag_key, feed_key))
-    out = _block_expm(diag, feed, k, dt)
-    out.setflags(write=False)
-    return out
-
-
-def expm_interval(diag: np.ndarray, feed: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """Cached :func:`hierarchy_exponential` of one float64 4x4 ``diag`` and
-    ``feed``; callers must not mutate the result."""
-    return _expm_cached(diag.tobytes(), feed.tobytes(), k, float(dt))
-
-
-def hierarchy_exponential(diag: np.ndarray, feed: np.ndarray, k: int,
-                          dt: float) -> np.ndarray:
-    """Exponential over ``dt`` of the hierarchy generator of levels 0..k.
-
-    One 4x4 ``diag`` gives one cached exponential (see :func:`expm_interval`);
-    a stack of shape ``(n, 4, 4)`` gives ``n`` exponentials from one
-    :func:`_block_expm` call, each slice computed exactly as if it were alone.
-    """
-    if diag.ndim == 2:
-        return expm_interval(diag, feed, k, dt)
-    return _block_expm(diag, feed, k, dt)
-
-
 def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
     """Drive amplitude and ``dt/ds`` at ``s`` in [0, 1] on the linear-flux part [t0, t1].
 
@@ -297,7 +262,7 @@ def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
     level plus ``w(s) J``, with ``J = jump_superop(spec)``, feeding each
     level from the one below. A step applies ``exp(h sum_m a_jm B(s_m))``
     for j = 1, 2 at its two Gauss nodes s_m. Each exponent keeps hierarchy
-    form, so every exponential is one slice of :func:`hierarchy_exponential`.
+    form, so every exponential is one slice of :func:`_block_expm`.
     ``base``, ``drive``, ``J`` and ``y`` are in r (see :func:`real_parts`).
     """
     k = len(y) // 4 - 1
@@ -310,7 +275,7 @@ def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
     feed = p * jump
     size = 2 * _STACK_STEPS
     for lo in range(0, 2 * n, size):
-        stack = hierarchy_exponential(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n)
+        stack = _block_expm(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n)
         for exp_j in stack:
             y = exp_j @ y
     return y
@@ -368,7 +333,7 @@ def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
     single = isinstance(spec, DriveSpec)
     specs = [spec] if single else list(spec)
     first = specs[0]
-    parts = [_real_intervals(s) for s in specs]
+    parts = [drive_intervals(s) for s in specs]
     edges = [part[:2] for part in parts[0]]
     if any(s.topology != first.topology or [part[:2] for part in p] != edges
            for s, p in zip(specs[1:], parts[1:])):
@@ -378,22 +343,21 @@ def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
     r = _rebase(_TO_R, y.reshape(len(specs), 4 * (k + 1), -1))
     if not r.imag.any():
         r = np.ascontiguousarray(r.real)
-    static, _, jump = real_parts(first.topology)
+    static, drive, jump = real_parts(first.topology)
+    if resolved:
+        static = static - jump
     for i, (lo, hi) in enumerate(edges):
         a, b = max(lo, t0), min(hi, t1)
         if b <= a:
             continue
-        gens = [p[i][2] for p in parts]
-        if any(gen is None for gen in gens):
+        amps = [p[i][2] for p in parts]
+        if None in amps:
             if len(specs) > 1:
                 raise SpecError("linear-flux parts are advanced one spec at a time")
-            r[0] = _integrate_part(first, static - jump if resolved else static, r[0], a, b, tol)
+            r[0] = _integrate_part(first, static, r[0], a, b, tol)
             continue
-        diag = np.array(gens)
-        # equal slices (an undriven tail shared by a row) are one cached exponential
-        if (diag == diag[0]).all():
-            diag = diag[0]
-        r = hierarchy_exponential(diag - jump if resolved else diag, jump, k, b - a) @ r
+        diag = static + np.array(amps)[:, None, None] * drive
+        r = _block_expm(diag, jump, k, b - a) @ r
     return _rebase(_FROM_R, r).reshape(y.shape)
 
 

@@ -301,9 +301,9 @@ def _pieces(spec: DriveSpec) -> list[_Piece]:
     """Constant-``H_eff`` pieces covering the counting window in order."""
     rate = total_decay_rate(spec.topology)
     pieces = []
-    for t0, t1, gen in drive_intervals(spec):
+    for t0, t1, amp in drive_intervals(spec):
         # a constant-flux interval is one piece unless it is very long
-        step = _MAX_PIECE_DECAYS / rate if gen is not None else _MAX_STEP
+        step = _MAX_PIECE_DECAYS / rate if amp is not None else _MAX_STEP
         n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
         h = (t1 - t0) / n
         for i in range(n):

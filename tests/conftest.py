@@ -1,8 +1,11 @@
+import sys
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 import photonstat as ps
+from photonstat import propagator
 
 ACCEPTANCE_LINES = []
 
@@ -12,6 +15,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(diag, k, dt)`` of every call of the hierarchy kernel
+    ``propagator._block_expm``, rebound in each package namespace that holds it."""
+    kernel = propagator._block_expm
+    calls = []
+
+    def recording(diag, feed, k, dt):
+        calls.append((np.array(diag), k, dt))
+        return kernel(diag, feed, k, dt)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("photonstat") and getattr(module, "_block_expm", None) is kernel:
+            monkeypatch.setattr(module, "_block_expm", recording)
+    return calls
 
 
 def random_square_spec(rng):

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import photonstat as ps
-from conftest import TimeGrid, random_square_spec, time_grid
+from conftest import TimeGrid, random_density, random_square_spec, time_grid
 from photonstat import counting
 from photonstat.counting import (
     DUAL_TOLERANCE,
     MAX_CUTOFF,
     NORMALIZATION_TOLERANCE,
+    _end_traces,
     verify_dual,
 )
 from photonstat.errors import CutoffError, NumericalError, SpecError, TailError
 from photonstat.liouville import vectorize
+from photonstat.propagator import advance
 
 UNDRIVEN_EXCITED = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=20.0)
 PI_PULSE = ps.DriveSpec(ps.SquarePulse(T=0.1, N=np.pi**2 / 0.2))
@@ -353,6 +355,29 @@ class TestCutoffLadder:
         ps.photon_statistics(PI_PULSE, k=6)
         ps.photon_statistics(PI_PULSE, method="jump-counting", k=6)
         assert cutoffs == {"binomial_moments": [6], "counting_distribution": [6]}
+
+
+class TestClosedFormTail:
+    """The counting routes stop at the pulse end; the undriven tail's share of
+    every level trace must equal propagation over the tail."""
+
+    @pytest.mark.parametrize("topology", [
+        ps.SingleLine(), ps.SingleLine(delta=2.0), ps.SingleLine(delta=-2.0),
+        ps.TwoLine(a=0.01), ps.TwoLine(a=1.0)])
+    @pytest.mark.parametrize("t_end", [None, 40.0, 0.3], ids=["default", "long", "pulse-end"])
+    @pytest.mark.parametrize("resolved", [False, True], ids=["moments", "counting"])
+    def test_matches_the_exponential_over_the_tail(self, topology, t_end, resolved):
+        spec = ps.DriveSpec(ps.SquarePulse(T=0.3, N=12.0), topology, t_end=t_end)
+        rng = np.random.default_rng(11)
+        k = 6
+        # Hermitian level states of spread-out sizes, coherences included
+        levels = [rng.uniform(0.01, 1.0) * random_density(rng) for _ in range(k + 1)]
+        y = np.concatenate([vectorize(level) for level in levels])
+        exact = advance(spec, y, 0.3, spec.t_end, 1e-9, resolved).reshape(k + 1, 4)
+        want = (exact[:, 0] + exact[:, 3]).real
+        got = _end_traces(np.array([level[0, 0].real for level in levels]),
+                          np.array([level[1, 1].real for level in levels]), spec, 0.3, resolved)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # Draw 9 of random_square_spec(default_rng(14)): inside the randomized suite's

@@ -156,6 +156,24 @@ class TestLiouvillian:
             - 1j * (np.kron(ps.IDENTITY2, ham) - np.kron(ham.T, ps.IDENTITY2))
         assert np.allclose(gen, expected, atol=1e-14)
 
+    @given(st.floats(-10.0, 10.0), st.floats(1e-3, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_parts_match_kronecker_construction(self, delta, a):
+        # the superoperators built from Kronecker products for each topology
+        eye, sm = ps.IDENTITY2, ps.SIGMA_MINUS
+
+        def commutator(h):
+            return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+        cdc = sm.conj().T @ sm
+        decay = np.kron(sm.conj(), sm) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+        for topology in (ps.SingleLine(delta=delta), ps.TwoLine(a=a, delta=delta)):
+            static, drive = ps.liouville.liouvillian_parts(topology)
+            rate = ps.total_decay_rate(topology)
+            assert np.array_equal(static, commutator(-0.5 * delta * ps.SIGMA_Z) + rate * decay)
+            assert np.array_equal(drive, commutator(ps.SIGMA_X))
+            assert not drive.flags.writeable
+
     def test_rejects_negative_flux(self):
         spec = ps.DriveSpec(ps.SampledPulse((0.0, 1.0), (-1.0, -1.0)), t_end=2.0)
         with pytest.raises(SpecError, match="non-negative"):

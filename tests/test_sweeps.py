@@ -187,24 +187,33 @@ class TestSweepRows:
             assert_same_stats(rec.stats, ps.photon_statistics(
                 ps.DriveSpec(ps.SquarePulse(T=rec.T, N=rec.N), ps.TwoLine(a=rec.a))))
 
-    def test_one_pulse_exponential_call_per_rung(self, monkeypatch):
-        stacks = []
-
-        def recording(diag, feed, k, dt):
-            if diag.ndim == 3:
-                stacks.append(len(diag))
-            return kernel(diag, feed, k, dt)
-
-        kernel = propagator._block_expm
-        monkeypatch.setattr(propagator, "_block_expm", recording)
-        result = ps.sweep_single_line(T_grid=[2.0], N_grid=np.linspace(0.0, 120.0, 24))
+    def test_one_pulse_exponential_call_per_rung(self, kernel_calls):
+        n_grid = np.linspace(0.0, 120.0, 24)
+        result = ps.sweep_single_line(T_grid=[2.0], N_grid=n_grid)
         top = max(rec.stats.cutoff_k for rec in result.records)
         rungs = range(counting.START_CUTOFF, top + 1, 2)
-        assert len(stacks) == len(rungs)
-        # a point leaves the stack once its rung settles it
-        assert stacks == [sum(rec.stats.cutoff_k >= k for rec in result.records) for k in rungs]
+        # a point leaves the stack once its rung settles it; after the row,
+        # each dual-checked point is one more call of one slice
+        stacks = [sum(rec.stats.cutoff_k >= k for rec in result.records) for k in rungs]
+        checked = int(sweeps._check_mask(len(n_grid)).sum())
+        assert [len(diag) for diag, _, _ in kernel_calls] == stacks + [1] * checked
+        assert [k for _, k, _ in kernel_calls[:len(rungs)]] == list(rungs)
+        # every call spans the pulse only: the undriven tail is closed-form
+        assert {dt for _, _, dt in kernel_calls} == {2.0}
         assert stacks[0] == 24
         assert all(isinstance(rec.stats.cutoff_k, int) for rec in result.records)
+
+    def test_maximization_exponentiates_no_undriven_generator(self, kernel_calls):
+        topology = ps.TwoLine(a=0.3)
+        best = ps.maximize_p1(topology, T=0.7)
+        assert best.stats.cutoff_k >= counting.START_CUTOFF
+        static, _, jump = propagator.real_parts(topology)
+        assert kernel_calls
+        for diag, _, dt in kernel_calls:
+            assert dt == 0.7
+            # the scan's N = 0 is one slice of a driven stack, never a call alone
+            assert not all(np.array_equal(d, static) or np.array_equal(d, static - jump)
+                           for d in diag)
 
     @pytest.mark.parametrize("n_grid", [[50.0, 120.0, 200.0], [50.0, 200.0, 120.0]])
     def test_first_failing_point_raises_in_grid_order(self, n_grid):
