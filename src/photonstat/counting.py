@@ -18,16 +18,16 @@ Two independent routes produce the count distribution over the window:
   channel: ``d rho_n / dt = (L - njump) rho_n + njump rho_{n-1}``, and
   ``P_n = trace(rho_n(t_end))`` directly.
 
-Both hierarchies are block lower-bidiagonal linear systems, advanced by
-:func:`photonstat.propagator.advance` up to the pulse end: exactly, with
-one matrix exponential per constant-flux interval (every interval of a
-square pulse, and the flat parts of a sampled envelope), and with the
-fourth-order commutator-free Magnus scheme CF4, verified by step halving,
-where a sampled envelope varies. The undriven tail from the pulse end to
+Both hierarchies are block lower-bidiagonal linear systems, advanced up to
+the pulse end: square pulses of one topology, at any widths, as one stack
+of exact exponentials (:func:`_pulse_traces`), and a sampled envelope by
+:func:`photonstat.propagator.advance` (exact on flat parts, CF4 verified by
+step halving where it varies). The undriven tail from the pulse end to
 ``t_end`` adds to every level trace in closed form (:func:`_end_traces`).
-A row of specs that share topology and breakpoints (a sweep row) climbs
-the cutoff ladder together, one stacked hierarchy per rung over its points
-still short of their criterion.
+A row of square pulses (a sweep row) climbs the cutoff ladder together,
+one stacked hierarchy per rung over its points still short of their
+criterion; the exact ``P_1`` of :func:`one_photon_probability` is the
+k = 1 jump-counting rung of the same stack.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ from .liouville import (
     DriveSpec,
     SquarePulse,
     Topology,
-    decay_channels,
     drive_coefficient,
     jump_superop,
     total_decay_rate,
     vectorize,
 )
 from .propagator import (
+    _TO_R,
     _block_expm,
     advance,
     propagator_between,
@@ -113,36 +113,63 @@ class PhotonStats:
 
 def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
     """Traces of hierarchy levels 0..k at t_end, from ``rho0`` (default
-    ``|g><g|``), one row per spec of ``specs`` (sharing topology and
-    breakpoints)."""
+    ``|g><g|``), one row per spec of ``specs``: square pulses of one
+    topology, or a single spec of any envelope."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
-    y = np.zeros((len(specs), 4 * (k + 1)), dtype=complex)
-    y[:, :4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
+    if isinstance(specs[0].pulse, SquarePulse):
+        T, N, t_end = np.array([(s.pulse.T, s.pulse.N, s.t_end) for s in specs], dtype=float).T
+        return _pulse_traces(specs[0].topology, T, N, t_end, k, rho0, resolved)
+    (spec,) = specs
+    y = np.zeros(4 * (k + 1), dtype=complex)
+    y[:4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
     # per-part error budget, the tail counted; endpoint errors propagate
     # non-expansively
-    tol = TAIL_TOLERANCE / (len(specs[0].breakpoints()) - 1)
-    # nothing drives any spec after the last pulse end
-    stop = min(max(0.0, *(spec.pulse.end for spec in specs)), specs[0].t_end)
-    levels = advance(specs, y, 0.0, stop, tol, resolved).reshape(len(specs), k + 1, 4).real
-    return _end_traces(levels[..., 0], levels[..., 3], specs[0], stop, resolved)
+    tol = TAIL_TOLERANCE / (len(spec.breakpoints()) - 1)
+    # nothing drives the emitter after the pulse end
+    stop = min(max(0.0, spec.pulse.end), spec.t_end)
+    levels = advance(spec, y, 0.0, stop, tol, resolved).reshape(1, k + 1, 4).real
+    return _end_traces(levels[..., 0], levels[..., 3], spec.topology, spec.t_end - stop, resolved)
 
 
-def _end_traces(ground: np.ndarray, excited: np.ndarray, spec: DriveSpec, start: float,
-                resolved: bool) -> np.ndarray:
-    """Traces at ``t_end`` of the hierarchy levels 0..k (last axis) whose
-    populations at ``start`` are ``ground`` and ``excited``, when nothing
-    drives the emitter after ``start``.
+def _pulse_traces(topology: Topology, T, N: np.ndarray, t_end, k: int, rho0,
+                  resolved: bool) -> np.ndarray:
+    """:func:`_level_traces` of square pulses on ``topology`` of widths ``T``,
+    photon numbers ``N`` and windows ``t_end`` (arrays, or scalars for all),
+    one kernel slice per pulse over its own width: each row is bit for bit
+    the pulse alone."""
+    static, drive, jump = real_parts(topology)
+    amps = np.sqrt(drive_coefficient(topology) * (N / T))
+    pulse = _block_expm((static - jump if resolved else static) + amps[:, None, None] * drive,
+                        jump, k, T)
+    if rho0 is None:  # |g><g| is the first unit vector of r
+        state = pulse[:, :, 0]
+    else:  # complex, as in advance, where a start carries imaginary roundoff in r
+        r0 = _TO_R @ vectorize(validate_density(rho0))
+        state = pulse[:, :, :4] @ (r0 if r0.imag.any() else r0.real)
+    # the populations of level j sit at rows 4 j and 4 j + 1 of r
+    levels = state.real.reshape(len(N), k + 1, 4)
+    return _end_traces(levels[..., 0], levels[..., 1], topology, t_end - T, resolved)
+
+
+def _end_traces(ground: np.ndarray, excited: np.ndarray, topology: Topology,
+                tail: np.ndarray, resolved: bool) -> np.ndarray:
+    """Traces of the hierarchy levels 0..k (last axis) whose populations are
+    ``ground`` and ``excited`` (one row per point) after undriven tails of
+    lengths ``tail`` (an array, or a scalar for all).
 
     Every level's excited population decays as ``exp(-gamma t)``, and the
     monitored share ``gamma_mon / gamma`` of that decay feeds the level
     above, so level m gains ``c`` times the excited population of level
     m - 1 and, with ``resolved`` (jump counting), loses ``c`` times its own,
-    where ``c = (gamma_mon / gamma) (1 - exp(-gamma (t_end - start)))``.
+    where ``c = (gamma_mon / gamma) (1 - exp(-gamma tail))``.
     """
-    rate = total_decay_rate(spec.topology)
-    monitored = next(channel.weight for channel in decay_channels(spec) if channel.monitored)
-    share = monitored / rate * -math.expm1(-rate * (spec.t_end - start))
+    rate = total_decay_rate(topology)
+    monitored = real_parts(topology)[2][0, 1]  # J moves gamma_mon rho_ee one level up
+    # math.expm1 once per distinct tail (np.expm1 may differ in the last bit)
+    tails = np.ravel(tail).tolist()
+    shares = {t: monitored / rate * -math.expm1(-rate * t) for t in set(tails)}
+    share = np.array([shares[t] for t in tails])[:, None]
     fed = np.zeros_like(excited)
     fed[..., 1:] = excited[..., :-1]
     return ground + excited + share * (fed - excited if resolved else fed)
@@ -274,26 +301,18 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
 
     Starts from ``|g><g|`` and counts over the default window. Level 1 of
     the jump-resolved hierarchy depends only on level 0, so ``P_1 = trace
-    rho_1(t_end)`` follows with no cutoff from the 8x8 block generator
-    ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for integrals of
-    matrix exponentials), taken in the real coordinates r of
-    :mod:`photonstat.propagator`. The pulses of all photon numbers are one
-    stack of exponentials, and the undriven tail is added in closed form,
-    so each value is bit for bit independent of the other photon numbers
-    passed with it.
+    rho_1(t_end)`` is exact with no cutoff at k = 1, whose generator is the
+    8x8 block form ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for
+    integrals of matrix exponentials). It is the k = 1 jump-counting rung of
+    the pulse stack the counting routes use, so each value is bit for bit
+    independent of the other photon numbers passed with it.
     """
     ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
-    if not (ns >= 0).all():
-        raise SpecError(f"photon numbers must satisfy N >= 0, got {ns[~(ns >= 0)][0]}")
-    spec = DriveSpec(SquarePulse(T=T, N=0.0), topology)
-    static, drive, jump = real_parts(topology)
-    amps = np.sqrt(drive_coefficient(topology) * (ns / T))
-    pulse = _block_expm(static - jump + amps[:, None, None] * drive, jump, 1, T)
-    # |g><g| is the first unit vector of r, so the state after the pulse is
-    # the first column of each pulse exponential, with the populations of
-    # level j at rows 4 j and 4 j + 1
-    y = pulse[:, :, 0].reshape(-1, 2, 4)
-    return _end_traces(y[..., 0], y[..., 1], spec, T, resolved=True)[:, 1]
+    if not ((ns >= 0) & (ns < math.inf)).all():
+        raise SpecError("photon numbers must be finite with N >= 0, "
+                        f"got {ns[~((ns >= 0) & (ns < math.inf))][0]}")
+    t_end = DriveSpec(SquarePulse(T=T, N=0.0), topology).t_end
+    return _pulse_traces(topology, T, ns, t_end, 1, None, True)[:, 1] if len(ns) else ns
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",

@@ -1,19 +1,19 @@
 """Master-equation propagation over the counting window.
 
-One routine, :func:`advance`, moves a hierarchy state across a time span
-split at the envelope breakpoints (:func:`photonstat.liouville.drive_intervals`).
+One routine, :func:`advance`, moves a hierarchy state of one drive across a
+time span split at the envelope breakpoints (:func:`photonstat.liouville.drive_intervals`).
 Where the flux is constant (square pulses, flat tops and rectangles of
 sampled envelopes, the undriven tail) the generator is constant, so the
 interval is one exact matrix exponential of the block generator, formed
-from the interval's drive amplitude as ``static + amplitude * drive`` and
-stacked over the specs of a sweep row. Where a sampled envelope varies,
-the part is integrated with the fourth-order commutator-free Magnus scheme
-CF4 (two exponentials per step), with a halved-step Richardson check
-refining until the difference is below tolerance. The counting routes of
-:mod:`photonstat.counting` stop at the pulse end and add the undriven tail
-in closed form. The propagator of the master equation over any part of
-the window (:func:`propagator_between`) is the zeroth hierarchy level
-advanced from the identity.
+from the interval's drive amplitude as ``static + amplitude * drive``.
+Where a sampled envelope varies, the part is integrated with the
+fourth-order commutator-free Magnus scheme CF4 (two exponentials per
+step), with a halved-step Richardson check refining until the difference
+is below tolerance. The counting routes of :mod:`photonstat.counting`
+stack square pulses of any widths into one exponential call of their own
+and add the undriven tail in closed form. The propagator of the master
+equation over any part of the window (:func:`propagator_between`) is the
+zeroth hierarchy level advanced from the identity.
 
 States and superoperators are column-stacked (:func:`photonstat.liouville.vectorize`)
 at the boundary of :func:`advance`, but propagated in the Hermitian
@@ -170,10 +170,10 @@ def _toeplitz(buf: np.ndarray, k: int) -> np.ndarray:
     return window.reshape(len(buf), 4 * k + 4, 4 * k + 4)
 
 
-def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt: float) -> np.ndarray:
+def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     """Exponential over ``dt`` of the hierarchy generator with diagonal blocks
     ``diag`` (shape ``(..., 4, 4)``) and feed ``feed``, levels 0..k, as a dense
-    block lower-triangular matrix.
+    block lower-triangular matrix. ``dt`` is one time step, or one per slice.
 
     A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its
     first block column; a product with another is that row times the
@@ -314,7 +314,7 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 
 
-def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
+def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
             resolved: bool = False) -> np.ndarray:
     """Advance a hierarchy state from ``t0`` to ``t1``.
 
@@ -322,42 +322,27 @@ def advance(spec, y: np.ndarray, t0: float, t1: float, tol: float,
     ``J = jump_superop(spec)`` and ``D = L`` (moments), or ``D = L - J``
     when ``resolved`` (jump counting). ``y`` is either one stacked state,
     levels 0..k of length ``4(k+1)``, or a matrix whose columns are such
-    states. ``spec`` may also be a sequence of specs that share topology
-    and breakpoints, with one such ``y`` per spec stacked on a leading
-    axis; each spec's result is bit for bit its result alone. States are
-    column-stacked on both ends and propagated in r, where a Hermitian
-    state stays real. Each constant-flux interval of the window is one
-    exact exponential per spec; each linear-flux part is converged to
-    ``tol``, one spec at a time.
+    states. States are column-stacked on both ends and propagated in r,
+    where a Hermitian state stays real. Each constant-flux interval of the
+    window is one exact exponential; each linear-flux part is converged to
+    ``tol``.
     """
-    single = isinstance(spec, DriveSpec)
-    specs = [spec] if single else list(spec)
-    first = specs[0]
-    parts = [drive_intervals(s) for s in specs]
-    edges = [part[:2] for part in parts[0]]
-    if any(s.topology != first.topology or [part[:2] for part in p] != edges
-           for s, p in zip(specs[1:], parts[1:])):
-        raise SpecError("stacked specs must share topology and breakpoints")
     y = np.asarray(y)
-    k = y.shape[0 if single else 1] // 4 - 1
-    r = _rebase(_TO_R, y.reshape(len(specs), 4 * (k + 1), -1))
+    k = len(y) // 4 - 1
+    r = _rebase(_TO_R, y.reshape(4 * (k + 1), -1))
     if not r.imag.any():
         r = np.ascontiguousarray(r.real)
-    static, drive, jump = real_parts(first.topology)
+    static, drive, jump = real_parts(spec.topology)
     if resolved:
         static = static - jump
-    for i, (lo, hi) in enumerate(edges):
+    for lo, hi, amp in drive_intervals(spec):
         a, b = max(lo, t0), min(hi, t1)
         if b <= a:
             continue
-        amps = [p[i][2] for p in parts]
-        if None in amps:
-            if len(specs) > 1:
-                raise SpecError("linear-flux parts are advanced one spec at a time")
-            r[0] = _integrate_part(first, static, r[0], a, b, tol)
-            continue
-        diag = static + np.array(amps)[:, None, None] * drive
-        r = _block_expm(diag, jump, k, b - a) @ r
+        if amp is None:
+            r = _integrate_part(spec, static, r, a, b, tol)
+        else:
+            r = _block_expm(static + amp * drive, jump, k, b - a) @ r
     return _rebase(_FROM_R, r).reshape(y.shape)
 
 

@@ -16,6 +16,7 @@ cutoff; only the distribution reported at the optimum uses the moment route.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -46,7 +47,7 @@ DEFAULT_A_GRID = np.logspace(math.log10(0.005), 0.0, 30)
 _CHECK_SEED = 20177
 # Share of sweep points re-evaluated by the jump-counting route.
 _CHECK_FRACTION = 0.05
-# maximize_p1: points of the bracketing scan, its default range in pi-pulse
+# maximize_p1: points of the bracketing scan, its range in pi-pulse
 # photon numbers (the first inversion lobe), and the relative width at
 # which golden-section refinement stops.
 _SCAN_POINTS = 64
@@ -65,10 +66,6 @@ def pi_pulse_number(T: float, a: float | None = None) -> float:
     if a is None:
         return math.pi ** 2 / (2.0 * T)
     return math.pi ** 2 / (4.0 * a * T)
-
-
-def _spec_for(topology: Topology, T: float, N: float) -> DriveSpec:
-    return DriveSpec(SquarePulse(T=T, N=N), topology)
 
 
 def _golden_step(state: tuple, left: bool, value) -> tuple:
@@ -138,44 +135,35 @@ class MaximizeResult:
     at_boundary: bool
 
 
-def maximize_p1(topology: Topology, T: float, n_range=None,
-                k: int | None = None) -> MaximizeResult:
+def maximize_p1(topology: Topology, T: float, k: int | None = None) -> MaximizeResult:
     """Maximize the one-photon probability over the drive photon number.
 
     The objective is the exact ``P_1`` of :func:`one_photon_probability`,
     which needs no cutoff. A coarse scan (64 points, evaluated as one
-    stack) brackets the maximum, golden-section refinement narrows it to a
+    stack) over the first inversion lobe, 1.5x the pi-pulse photon number,
+    brackets the maximum, golden-section refinement narrows it to a
     relative width below 1e-3, and ties resolve to the leftmost maximizer.
     ``stats`` is the moment-route distribution at the maximizer (cutoff
     ``k``, adaptive by default), so ``stats.p1`` equals the objective there
     to that route's accuracy. ``at_boundary`` flags a maximum on the edge
-    of the scanned range. The default range covers the first inversion
-    lobe, 1.5x the pi-pulse photon number.
+    of the scanned range.
     """
-    a = topology.a if isinstance(topology, TwoLine) else None
-    n_pi = pi_pulse_number(T, a)
-    if n_range is None:
-        n_range = (0.0, _FIRST_LOBE * n_pi)
-    lo, hi = float(n_range[0]), float(n_range[1])
-    if not 0 <= lo < hi:
-        raise SpecError(f"need 0 <= lo < hi in the search range, got ({lo}, {hi})")
-    # the range must reach the first inversion (area pi)
-    if hi < n_pi:
-        raise SpecError(
-            f"search range [{lo}, {hi}] does not span one Rabi flop "
-            f"(pi-pulse at N = {n_pi:.4g})"
-        )
+    _check_grids([T])
+    n_star, at_boundary = _argmax_p1(topology, T)
+    stats = photon_statistics(DriveSpec(SquarePulse(T=T, N=n_star), topology), k=k)
+    return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = one_photon_probability(topology, T, grid)
-    i_best = int(np.argmax(values))
-    at_boundary = i_best in (0, len(grid) - 1)
+
+def _argmax_p1(topology: Topology, T: float) -> tuple[float, bool]:
+    """The :func:`maximize_p1` maximizer, and whether it lies at the edge of the scan."""
+    a = topology.a if isinstance(topology, TwoLine) else None
+    grid = np.linspace(0.0, _FIRST_LOBE * pi_pulse_number(T, a), _SCAN_POINTS)
+    i_best = int(np.argmax(one_photon_probability(topology, T, grid)))
     b_lo = grid[max(i_best - 1, 0)]
     b_hi = grid[min(i_best + 1, len(grid) - 1)]
     n_star = _golden_max(lambda ns: one_photon_probability(topology, T, ns),
                          float(b_lo), float(b_hi), _REL_TOL)
-    stats = photon_statistics(_spec_for(topology, T, n_star), k=k)
-    return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
+    return n_star, i_best in (0, len(grid) - 1)
 
 
 @dataclass(frozen=True)
@@ -197,33 +185,29 @@ class SweepResult:
     records: tuple[SweepRecord, ...]
 
 
-def _fixed_row(topology: Topology, T: float, Ns: list[float], k: int | None,
-               checks: list[bool]) -> tuple[SweepRecord, ...]:
-    """Records of one row (one width, every photon number), in order.
-
-    The row's statistics are computed together, each point bit for bit as
-    if alone; errors and dual checks are then met in point order.
-    """
-    specs = [_spec_for(topology, T, N) for N in Ns]
+def _fixed_row(topology: Topology, Ts: list[float], Ns: list[float], k: int | None,
+               checks: list[bool], name: str = "N") -> tuple[SweepRecord, ...]:
+    """Records of one row of square pulses (widths ``Ts``, photon numbers
+    ``Ns``), in order: the row's statistics are computed together, each point
+    bit for bit as if alone, then errors and dual checks (quoting N as
+    ``name``) are met in point order."""
+    specs = [DriveSpec(SquarePulse(T=T, N=N), topology) for T, N in zip(Ts, Ns)]
     a = topology.a if isinstance(topology, TwoLine) else None
     records = []
-    for spec, N, stats, check in zip(specs, Ns, _row_statistics(specs, k=k), checks):
+    for spec, T, N, stats, check in zip(specs, Ts, Ns, _row_statistics(specs, k=k), checks):
         if not isinstance(stats, PhotonStats):
             raise stats
         if check:
-            verify_dual(spec, stats,
-                        where=("" if a is None else f"a={a:.6g}, ") + f"T={T:.6g}, N={N:.6g}")
+            verify_dual(spec, stats, where=("" if a is None else f"a={a:.6g}, ")
+                        + f"T={T:.6g}, {name}={N:.6g}")
         records.append(SweepRecord(T=T, N=N, a=a, stats=stats))
     return tuple(records)
 
 
-def _two_line_point(topology: TwoLine, T: float, k: int | None,
-                     check: bool) -> SweepRecord:
-    best = maximize_p1(topology, T, k=k)
-    if check:
-        verify_dual(_spec_for(topology, T, best.n_star), best.stats,
-                    where=f"a={topology.a:.6g}, T={T:.6g}, N*={best.n_star:.6g}")
-    return SweepRecord(T=T, N=best.n_star, a=topology.a, stats=best.stats)
+def _two_line_row(topology: TwoLine, Ts: list[float], k: int | None,
+                  checks: list[bool]) -> tuple[SweepRecord, ...]:
+    """Records of one coupling ratio at widths ``Ts``, each at its :func:`maximize_p1` N."""
+    return _fixed_row(topology, Ts, [_argmax_p1(topology, T)[0] for T in Ts], k, checks, "N*")
 
 
 def _run_points(worker, points, workers: int) -> tuple:
@@ -245,6 +229,13 @@ def _check_mask(n: int) -> np.ndarray:
     return rng.random(n) < _CHECK_FRACTION
 
 
+def _check_grids(T_grid, N_grid=()) -> None:
+    """Raise, before any work starts, the :class:`SquarePulse` error of the
+    first width, then photon number, that no square pulse takes."""
+    for T, N in [(T, 0.0) for T in T_grid] + [(1.0, N) for N in N_grid]:
+        SquarePulse(T=float(T), N=float(N))
+
+
 def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
                       delta: float = 0.0, workers: int = 1) -> SweepResult:
     """Count probabilities at every (T, N) of a single-line map.
@@ -255,11 +246,11 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     """
     T_grid = np.asarray(DEFAULT_T_GRID if T_grid is None else T_grid, dtype=float)
     N_grid = np.asarray(DEFAULT_N_GRID if N_grid is None else N_grid, dtype=float)
-    if np.any(T_grid <= 0) or np.any(N_grid < 0):
-        raise SpecError("pulse widths must be positive and photon numbers non-negative")
+    _check_grids(T_grid, N_grid)
     checks = _check_mask(len(T_grid) * len(N_grid)).reshape(len(T_grid), len(N_grid))
     topology = SingleLine(delta=delta)
-    rows = [(topology, float(T), [float(N) for N in N_grid], k, checks[i].tolist())
+    rows = [(topology, [float(T)] * len(N_grid), [float(N) for N in N_grid], k,
+             checks[i].tolist())
             for i, T in enumerate(T_grid)]
     records = tuple(chain.from_iterable(_run_points(_fixed_row, rows, workers)))
     return SweepResult(axes={"T": T_grid, "N": N_grid}, records=records)
@@ -274,9 +265,12 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120,
     twice that ratio's pi-pulse photon number, so the first inversion lobe
     is always in view.
     """
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
+        raise SpecError(f"points must be an integer >= 1, got points={points!r}")
+    _check_grids([T])
     a_values = [float(a) for a in np.atleast_1d(a_values)]
     checks = _check_mask(len(a_values) * points).reshape(len(a_values), points)
-    rows = [(TwoLine(a=a, delta=delta), float(T),
+    rows = [(TwoLine(a=a, delta=delta), [float(T)] * points,
              np.linspace(0.0, _SLICE_SPAN * pi_pulse_number(T, a), points).tolist(), k,
              checks[i].tolist())
             for i, a in enumerate(a_values)]
@@ -289,16 +283,16 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
                    delta: float = 0.0, workers: int = 1) -> SweepResult:
     """Maximal one-photon probability over N at every (a, T).
 
-    Each grid point runs :func:`maximize_p1` and records the distribution
-    at the maximizing photon number. Records are row-major over (a, T).
+    Each grid point records the distribution at the :func:`maximize_p1`
+    maximizer, bit for bit as that call returns it, one row (a ratio with
+    all its widths) per worker. Records are row-major over (a, T).
     """
     a_grid = np.asarray(DEFAULT_A_GRID if a_grid is None else a_grid, dtype=float)
     T_grid = np.asarray(DEFAULT_T_GRID if T_grid is None else T_grid, dtype=float)
-    if np.any(T_grid <= 0):
-        raise SpecError("pulse widths must be positive")
-    checks = _check_mask(len(a_grid) * len(T_grid))
-    points = [(TwoLine(a=float(a), delta=delta), float(T), k,
-               bool(checks[i * len(T_grid) + j]))
-              for i, a in enumerate(a_grid) for j, T in enumerate(T_grid)]
-    records = _run_points(_two_line_point, points, workers)
+    _check_grids(T_grid)
+    checks = _check_mask(len(a_grid) * len(T_grid)).reshape(len(a_grid), len(T_grid))
+    rows = [(TwoLine(a=float(a), delta=delta), [float(T) for T in T_grid], k,
+             checks[i].tolist())
+            for i, a in enumerate(a_grid)]
+    records = tuple(chain.from_iterable(_run_points(_two_line_row, rows, workers)))
     return SweepResult(axes={"a": a_grid, "T": T_grid}, records=records)

@@ -19,13 +19,16 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """``(diag, k, dt)`` of every call of the hierarchy kernel
-    ``propagator._block_expm``, rebound in each package namespace that holds it."""
+    """``(diag, k, widths)`` of every call of the hierarchy kernel
+    ``propagator._block_expm``, rebound in each package namespace that holds
+    it: the call's diagonal blocks as a stack ``(slices, 4, 4)``, its cutoff,
+    and the time step of each slice."""
     kernel = propagator._block_expm
     calls = []
 
     def recording(diag, feed, k, dt):
-        calls.append((np.array(diag), k, dt))
+        stack = np.array(diag).reshape(-1, 4, 4)
+        calls.append((stack, k, np.broadcast_to(dt, len(stack)).copy()))
         return kernel(diag, feed, k, dt)
 
     for name, module in list(sys.modules.items()):

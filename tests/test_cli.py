@@ -218,6 +218,12 @@ class TestSweep:
         assert main(["sweep", *args]) == 2
         assert f"does not read {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grids", [["--a-grid", "0.5", "--T-grid", "0.1,nan"],
+                                       ["--T-grid", "nan", "--N-grid", "1"]])
+    def test_non_finite_width_exits_2(self, grids, capsys):
+        assert main(["sweep", "--preset", "custom", *grids]) == 2
+        assert "0 < T < inf, got T=nan" in capsys.readouterr().err
+
     def test_ignored_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"preset": "fig3", "n_grid": [1.0]}))

@@ -375,9 +375,44 @@ class TestClosedFormTail:
         y = np.concatenate([vectorize(level) for level in levels])
         exact = advance(spec, y, 0.3, spec.t_end, 1e-9, resolved).reshape(k + 1, 4)
         want = (exact[:, 0] + exact[:, 3]).real
-        got = _end_traces(np.array([level[0, 0].real for level in levels]),
-                          np.array([level[1, 1].real for level in levels]), spec, 0.3, resolved)
+        got = _end_traces(np.array([[level[0, 0].real for level in levels]]),
+                          np.array([[level[1, 1].real for level in levels]]), topology,
+                          np.array([spec.t_end - 0.3]), resolved)[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestPulseStack:
+    """Square pulses of any widths and windows are one kernel call; every row
+    must be bit for bit the pulse alone, and what advance gives."""
+
+    SPECS = [ps.DriveSpec(ps.SquarePulse(T=T, N=N), ps.TwoLine(a=0.3, delta=-1.2), t_end=t_end)
+             for T, N, t_end in [(0.4, 0.0, None), (0.4, 3.0, None), (2.5, 3.0, 30.0),
+                                 (0.05, 80.0, None), (2.5, 40.0, 2.5)]]
+
+    @pytest.mark.parametrize("resolved", [False, True], ids=["moments", "counting"])
+    @pytest.mark.parametrize("start", ["ground", "excited", "mixed"])
+    def test_rows_equal_each_pulse_alone(self, resolved, start, kernel_calls):
+        rho0 = {"ground": None, "excited": ps.EXCITED,
+                "mixed": random_density(np.random.default_rng(5))}[start]
+        rows = counting._level_traces(self.SPECS, 6, rho0, resolved)
+        assert len(kernel_calls) == 1
+        for spec, row in zip(self.SPECS, rows):
+            assert np.array_equal(row, counting._level_traces([spec], 6, rho0, resolved)[0])
+
+    @pytest.mark.parametrize("resolved", [False, True], ids=["moments", "counting"])
+    @pytest.mark.parametrize("rho0", [ps.GROUND, ps.EXCITED, random_density(np.random.default_rng(5))],
+                             ids=["ground", "excited", "mixed"])
+    def test_rows_equal_advance_to_the_pulse_end(self, resolved, rho0):
+        # the mixed start carries imaginary roundoff in r, so both propagate it complex
+        k = 6
+        rows = counting._level_traces(self.SPECS, k, rho0, resolved)
+        for spec, row in zip(self.SPECS, rows):
+            y = np.zeros(4 * (k + 1), dtype=complex)
+            y[:4] = vectorize(rho0)
+            levels = advance(spec, y, 0.0, spec.pulse.T, 1e-9, resolved).reshape(1, k + 1, 4)
+            want = _end_traces(levels[..., 0].real, levels[..., 3].real, spec.topology,
+                               np.array([spec.t_end - spec.pulse.T]), resolved)[0]
+            assert np.array_equal(row, want)
 
 
 # Draw 9 of random_square_spec(default_rng(14)): inside the randomized suite's
@@ -438,6 +473,16 @@ class TestOnePhotonProbability:
         assert ps.one_photon_probability(ps.TwoLine(a=0.5), 0.1, [0.0])[0] == 0.0
         with pytest.raises(SpecError, match="N >= 0"):
             ps.one_photon_probability(ps.SingleLine(), 0.1, [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_photon_number_rejected(self, bad):
+        with pytest.raises(SpecError, match=rf"N >= 0, got {bad}"):
+            ps.one_photon_probability(ps.SingleLine(), 0.1, [1.0, bad])
+
+    def test_no_photon_numbers_give_an_empty_array(self, kernel_calls):
+        p1 = ps.one_photon_probability(ps.TwoLine(a=0.5), 0.1, [])
+        assert p1.shape == (0,) and p1.dtype == np.float64
+        assert kernel_calls == []
 
     @given(TOPOLOGIES, st.floats(0.05, 5.0), PHOTON_NUMBERS)
     @settings(max_examples=40, deadline=None)

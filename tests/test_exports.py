@@ -1,8 +1,10 @@
-"""Every exported name resolves, and the removed time-grid layer stays gone."""
+"""Every exported name resolves, the removed time-grid layer stays gone, and
+the README's Python API example runs against the package."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,11 @@ def test_package_reexports_resolve():
 def test_time_grid_layer_removed(name):
     for module in [ps, *map(importlib.import_module, MODULES)]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_api_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Python API"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

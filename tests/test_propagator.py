@@ -288,27 +288,6 @@ class TestRealCoordinates:
             assert got.shape == y.shape
             assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
-    def test_stacked_specs_match_each_alone(self):
-        specs = [ps.DriveSpec(ps.SquarePulse(T=0.4, N=n)) for n in (0.0, 3.0, 3.0, 40.0)]
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=(len(specs), 12)) + 1j * rng.normal(size=(len(specs), 12))
-        for resolved in (False, True):
-            stacked = advance(specs, y, 0.0, specs[0].t_end, 1e-9, resolved)
-            for spec, y_i, got in zip(specs, y, stacked):
-                assert np.array_equal(got, advance(spec, y_i, 0.0, spec.t_end, 1e-9, resolved))
-
-    @pytest.mark.parametrize("other", [
-        ps.DriveSpec(ps.SquarePulse(T=0.5, N=3.0)),
-        ps.DriveSpec(ps.SquarePulse(T=0.4, N=3.0), ps.SingleLine(delta=1.0)),
-        ps.DriveSpec(ps.SampledPulse((0.0, 0.2, 0.4), (0.0, 5.0, 0.0))),
-    ])
-    def test_stacks_must_share_topology_and_breakpoints(self, other):
-        first = ps.DriveSpec(ps.SquarePulse(T=0.4, N=3.0))
-        y = np.zeros((2, 8))
-        y[:, 0] = 1.0
-        with pytest.raises(SpecError):
-            advance([first, other], y, 0.0, first.t_end, 1e-9)
-
 
 def norm_spread_stack(topology, n, rng, dt=1.0):
     """Hierarchy blocks of ``n`` drives whose 1-norms ``max col-sum(|D| + |J|) dt``

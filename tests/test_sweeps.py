@@ -4,6 +4,7 @@ import pytest
 import photonstat as ps
 from photonstat import counting, propagator, sweeps
 from photonstat.errors import NumericalError, SpecError
+from photonstat.liouville import drive_coefficient
 from photonstat.sweeps import _golden_max
 
 
@@ -36,13 +37,17 @@ class TestMaximizeP1:
         assert not best.at_boundary
 
     def test_boundary_maximum_is_flagged(self):
-        n_pi = ps.pi_pulse_number(0.1)
-        best = ps.maximize_p1(ps.SingleLine(), T=0.1, n_range=(0.0, n_pi))
+        # a long pulse on a strongly coupled weak line emits most when its
+        # area passes pi, at the top of the scanned lobe
+        topology = ps.TwoLine(a=0.5)
+        best = ps.maximize_p1(topology, T=5.0)
         assert best.at_boundary
+        assert best.n_star == pytest.approx(1.5 * ps.pi_pulse_number(5.0, a=0.5), rel=1e-3)
 
-    def test_range_must_reach_first_inversion(self):
-        with pytest.raises(SpecError, match="Rabi"):
-            ps.maximize_p1(ps.SingleLine(), T=0.1, n_range=(0.0, 25.0))
+    @pytest.mark.parametrize("T", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_width(self, T):
+        with pytest.raises(SpecError, match=r"0 < T < inf"):
+            ps.maximize_p1(ps.TwoLine(a=0.5), T)
 
     def test_two_line_beats_single_line(self):
         best_001 = ps.maximize_p1(ps.TwoLine(a=0.01), T=0.1)
@@ -116,6 +121,18 @@ class TestSweepSingleLine:
         with pytest.raises(SpecError):
             ps.sweep_single_line(T_grid=[0.1], N_grid=[-1.0])
 
+    @pytest.mark.parametrize("grids, message", [
+        (([0.1, float("nan")], [1.0]), r"0 < T < inf, got T=nan"),
+        (([0.1, float("inf")], [1.0]), r"0 < T < inf, got T=inf"),
+        (([-0.1], [1.0]), r"0 < T < inf, got T=-0.1"),
+        (([0.1], [1.0, float("nan")]), r"0 <= N < inf, got N=nan"),
+        (([0.1], [float("inf")]), r"0 <= N < inf, got N=inf"),
+    ])
+    def test_bad_grid_values_rejected_before_any_work(self, grids, message, kernel_calls):
+        with pytest.raises(SpecError, match=message):
+            ps.sweep_single_line(*grids)
+        assert kernel_calls == []
+
     def test_failed_dual_check_names_the_point(self, monkeypatch):
         # of 24 points, the check mask selects only the 22nd
         n_grid = np.linspace(0.0, 120.0, 24)
@@ -149,6 +166,19 @@ class TestSweepTwoLine:
             assert rec.T <= 0.5
             assert rec.stats.probabilities[:4].sum() >= 0.999
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_widths_rejected_before_any_work(self, T, kernel_calls):
+        with pytest.raises(SpecError, match=rf"0 < T < inf, got T={T}"):
+            ps.sweep_two_line(a_grid=[0.5], T_grid=[0.1, T])
+        with pytest.raises(SpecError, match=rf"0 < T < inf, got T={T}"):
+            ps.sweep_two_line_slices([0.5], T=T, points=4)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("points", [-3, 0, 2.5, True])
+    def test_slices_need_a_positive_point_count(self, points):
+        with pytest.raises(SpecError, match=rf"points=.*{points!r}"):
+            ps.sweep_two_line_slices([0.5], T=0.1, points=points)
+
     def test_slices_cover_first_lobe(self):
         result = ps.sweep_two_line_slices([0.5], T=0.1, points=40)
         p1 = np.array([r.stats.probabilities[1] for r in result.records])
@@ -163,6 +193,25 @@ def assert_same_stats(got, want):
     assert np.array_equal(got.moments, want.moments)
     assert got.cutoff_k == want.cutoff_k
     assert got.tail_bound == want.tail_bound
+
+
+def assert_one_call_per_rung(calls, topology, records, checks):
+    """The kernel calls of one sweep row: one stacked call per cutoff rung over
+    the row's points not yet settled, then one call per dual-checked point.
+    Every slice is its own pulse's generator, over its own width."""
+    top = max(rec.stats.cutoff_k for rec in records)
+    expected = [(k, [rec for rec in records if rec.stats.cutoff_k >= k], False)
+                for k in range(counting.START_CUTOFF, top + 1, 2)]
+    expected += [(rec.stats.cutoff_k, [rec], True) for rec, check in zip(records, checks)
+                 if check]
+    assert len(calls) == len(expected)
+    static, drive, jump = propagator.real_parts(topology)
+    for (diag, k, widths), (cutoff, recs, resolved) in zip(calls, expected):
+        assert k == cutoff
+        assert widths.tolist() == [rec.T for rec in recs]
+        base = static - jump if resolved else static
+        amps = [np.sqrt(drive_coefficient(topology) * (rec.N / rec.T)) for rec in recs]
+        assert np.array_equal(diag, [base + amp * drive for amp in amps])
 
 
 class TestSweepRows:
@@ -187,21 +236,34 @@ class TestSweepRows:
             assert_same_stats(rec.stats, ps.photon_statistics(
                 ps.DriveSpec(ps.SquarePulse(T=rec.T, N=rec.N), ps.TwoLine(a=rec.a))))
 
+    def test_two_line_rows_equal_maximizations_alone(self):
+        # one row's widths climb to three different cutoffs together
+        result = ps.sweep_two_line(a_grid=[0.05, 1.0], T_grid=[0.1, 1.0, 5.0])
+        assert len({rec.stats.cutoff_k for rec in result.records}) >= 3
+        for rec in result.records:
+            best = ps.maximize_p1(ps.TwoLine(a=rec.a), rec.T)
+            assert rec.N == best.n_star
+            assert_same_stats(rec.stats, best.stats)
+
     def test_one_pulse_exponential_call_per_rung(self, kernel_calls):
         n_grid = np.linspace(0.0, 120.0, 24)
         result = ps.sweep_single_line(T_grid=[2.0], N_grid=n_grid)
-        top = max(rec.stats.cutoff_k for rec in result.records)
-        rungs = range(counting.START_CUTOFF, top + 1, 2)
-        # a point leaves the stack once its rung settles it; after the row,
-        # each dual-checked point is one more call of one slice
-        stacks = [sum(rec.stats.cutoff_k >= k for rec in result.records) for k in rungs]
-        checked = int(sweeps._check_mask(len(n_grid)).sum())
-        assert [len(diag) for diag, _, _ in kernel_calls] == stacks + [1] * checked
-        assert [k for _, k, _ in kernel_calls[:len(rungs)]] == list(rungs)
-        # every call spans the pulse only: the undriven tail is closed-form
-        assert {dt for _, _, dt in kernel_calls} == {2.0}
-        assert stacks[0] == 24
+        assert_one_call_per_rung(kernel_calls, ps.SingleLine(), result.records,
+                                 sweeps._check_mask(len(n_grid)))
+        assert len(kernel_calls[0][0]) == 24
         assert all(isinstance(rec.stats.cutoff_k, int) for rec in result.records)
+
+    def test_row_statistics_one_call_per_rung(self, kernel_calls):
+        # the fig5 worker finds every width's maximizer (k = 1 calls), then
+        # settles the row's distributions as one stack per rung
+        topology = ps.TwoLine(a=0.3)
+        T_grid = [0.2, 0.7, 2.0, 5.0]
+        result = ps.sweep_two_line(a_grid=[0.3], T_grid=T_grid)
+        assert len({rec.stats.cutoff_k for rec in result.records}) > 1
+        first = next(i for i, (_, k, _) in enumerate(kernel_calls) if k > 1)
+        assert {k for _, k, _ in kernel_calls[:first]} == {1}
+        assert_one_call_per_rung(kernel_calls[first:], topology, result.records,
+                                 sweeps._check_mask(len(T_grid)))
 
     def test_maximization_exponentiates_no_undriven_generator(self, kernel_calls):
         topology = ps.TwoLine(a=0.3)
@@ -209,8 +271,9 @@ class TestSweepRows:
         assert best.stats.cutoff_k >= counting.START_CUTOFF
         static, _, jump = propagator.real_parts(topology)
         assert kernel_calls
-        for diag, _, dt in kernel_calls:
-            assert dt == 0.7
+        for diag, _, widths in kernel_calls:
+            # every slice spans the pulse only: the undriven tail is closed-form
+            assert widths.tolist() == [0.7] * len(diag)
             # the scan's N = 0 is one slice of a driven stack, never a call alone
             assert not all(np.array_equal(d, static) or np.array_equal(d, static - jump)
                            for d in diag)
