@@ -24,10 +24,10 @@ of exact exponentials (:func:`_pulse_traces`), and a sampled envelope by
 :func:`photonstat.propagator.advance` (exact on flat parts, CF4 verified by
 step halving where it varies). The undriven tail from the pulse end to
 ``t_end`` adds to every level trace in closed form (:func:`_end_traces`).
-A row of square pulses (a sweep row) climbs the cutoff ladder together,
+A row of square pulses (a sweep row) climbs the cutoff ladder together:
 one stacked hierarchy per rung over its points still short of their
-criterion; the exact ``P_1`` of :func:`one_photon_probability` is the
-k = 1 jump-counting rung of the same stack.
+criterion, settled as arrays. The exact ``P_1`` of
+:func:`one_photon_probability` is the k = 1 jump-counting rung of the stack.
 """
 
 from __future__ import annotations
@@ -179,16 +179,6 @@ def _clamp_moments(vals: np.ndarray) -> np.ndarray:
     return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
 
 
-def _complete_distribution(traces: np.ndarray, n_max: int) -> np.ndarray:
-    probs = _clamp_probabilities(traces)
-    missing = 1.0 - probs.sum()
-    if missing > NORMALIZATION_TOLERANCE:
-        raise CutoffError(
-            f"probability {missing:.3e} lies beyond n_max={n_max}; insufficient n_max"
-        )
-    return probs
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -203,22 +193,17 @@ def binomial_moments(spec: DriveSpec, k: int, rho0=None) -> np.ndarray:
 
 
 def counting_distribution(spec: DriveSpec, n_max: int, rho0=None) -> np.ndarray:
-    """Count probabilities ``P_0 .. P_n_max`` by jump-resolved propagation.
+    """Count probabilities ``P_0 .. P_n_max`` by jump counting at the fixed cutoff
+    ``n_max``, from ``rho0`` (default ``|g><g|``); :class:`CutoffError` when
+    more than ``NORMALIZATION_TOLERANCE`` of the probability lies beyond it."""
+    if n_max is None:  # photon_statistics would climb the ladder
+        raise SpecError("cutoff k must be an integer >= 1, got k=None")
+    return photon_statistics(spec, "jump-counting", k=n_max, rho0=rho0).probabilities
 
-    Starts from ``rho0`` (default ``|g><g|``). Raises :class:`CutoffError`
-    when more than ``NORMALIZATION_TOLERANCE`` of the probability lies
-    beyond ``n_max``.
-    """
-    return _complete_distribution(_level_traces([spec], n_max, rho0, resolved=True)[0], n_max)
 
-
-def _clamp_probabilities(probs: np.ndarray) -> np.ndarray:
-    if probs.min() < -NEGATIVE_TOLERANCE:
-        raise NumericalError(
-            f"probability {probs.min():.3e} below -{NEGATIVE_TOLERANCE}; "
-            "inadequate cutoff or integration error"
-        )
-    return np.where(probs < 0, 0.0, probs)
+def _negative_probability(low: float) -> NumericalError:
+    return NumericalError(f"probability {low:.3e} below -{NEGATIVE_TOLERANCE}; "
+                          "inadequate cutoff or integration error")
 
 
 def invert_moments(moments) -> np.ndarray:
@@ -231,28 +216,36 @@ def invert_moments(moments) -> np.ndarray:
     moments = np.asarray(moments, dtype=float)
     if moments.ndim != 1 or len(moments) < 1:
         raise SpecError("need at least the first binomial moment")
-    full = np.concatenate(([1.0], moments))
-    _, signed, lower = _binomials(len(moments))
-    # term (m, n) sits at row m, column n
-    return _clamp_probabilities(_column_sums(np.where(lower, signed * full[:, None], 0.0)))
+    probs = _inverted(moments)
+    if probs.min() < -NEGATIVE_TOLERANCE:
+        raise _negative_probability(probs.min())
+    return np.where(probs < 0, 0.0, probs)
+
+
+def _inverted(moments: np.ndarray) -> np.ndarray:
+    """:func:`invert_moments` unclamped, over the last axis (one point per row)."""
+    full = np.ones(moments.shape[:-1] + (moments.shape[-1] + 1,))
+    full[..., 1:] = moments
+    _, signed, lower = _binomials(moments.shape[-1])
+    # term (m, n) sits at row m, column n of each point's table
+    return _column_sums(np.where(lower, signed * full[..., :, None], 0.0))
 
 
 def moments_from_probabilities(probs, k: int) -> np.ndarray:
-    """Binomial moments ``N_1 .. N_k`` implied by a count distribution."""
+    """Binomial moments ``N_1 .. N_k`` implied by a count distribution (last axis)."""
     probs = np.asarray(probs, dtype=float)
-    binom, _, lower = _binomials(max(len(probs) - 1, k))
-    # term (n, m) sits at row n, column m - 1
-    cols = slice(1, k + 1)
-    return _column_sums(np.where(lower[:len(probs), cols],
-                                 binom[:len(probs), cols] * probs[:, None], 0.0))
+    binom, _, lower = _binomials(max(probs.shape[-1] - 1, k))
+    # term (n, m) sits at row n, column m - 1 of each point's table
+    rows, cols = slice(probs.shape[-1]), slice(1, k + 1)
+    return _column_sums(np.where(lower[rows, cols], binom[rows, cols] * probs[..., None], 0.0))
 
 
 def _column_sums(terms: np.ndarray) -> np.ndarray:
-    """Each column summed in row order, as a left-to-right ``sum`` of the
-    formula's terms would (``np.add.accumulate`` is sequential)."""
-    if not len(terms):
-        return np.zeros(terms.shape[1])
-    return np.add.accumulate(terms, axis=0)[-1]
+    """Each column of the tables on the last two axes summed in row order, as a
+    left-to-right ``sum`` of the formula's terms would (``accumulate`` is sequential)."""
+    if not terms.shape[-2]:
+        return np.zeros(terms.shape[:-2] + terms.shape[-1:])
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
 @lru_cache(maxsize=None)
@@ -337,58 +330,65 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
 
 def _row_statistics(specs, method: str = "moment-inversion", k: int | None = None,
                    rho0=None) -> list:
-    """:func:`photon_statistics` of every spec of a row sharing topology and
-    breakpoints (one sweep row: one T, all its N).
+    """:func:`photon_statistics` of every spec of a row: square pulses of one
+    topology (a sweep row), or one spec of any envelope. Entry i is the
+    :class:`PhotonStats` of ``specs[i]`` or the :class:`NumericalError` it
+    raised, bit for bit what ``photon_statistics(specs[i], ...)`` gives.
 
-    The row climbs one cutoff ladder: at each rung the points not yet
-    settled are one stacked hierarchy, and a point leaves the stack once
-    its criterion is met. Entry i is the :class:`PhotonStats` of
-    ``specs[i]``, or the :class:`NumericalError` it raised; either is bit
-    for bit what ``photon_statistics(specs[i], ...)`` returns or raises.
+    Each rung of the cutoff ladder is one stacked hierarchy over the pending
+    points, settled as arrays; Python only builds the result of each point
+    that leaves. Moment inversion inverts a point that meets its criterion
+    (top moment below ``TAIL_TOLERANCE``, or any at a fixed ``k``), which may
+    then fail the negative-probability check, and raises :class:`TailError`
+    for one short of it at the last rung. Jump counting runs that check at
+    every rung, and raises :class:`CutoffError` for a point missing more
+    than ``NORMALIZATION_TOLERANCE`` at the last rung.
     """
     if method not in ("moment-inversion", "jump-counting"):
         raise SpecError(f"unknown method {method!r}")
+    inverting = method == "moment-inversion"
     ladder = (k,) if k is not None else tuple(range(START_CUTOFF, MAX_CUTOFF + 1, 2))
     out: list = [None] * len(specs)
     pending = list(range(len(specs)))
     for cutoff in ladder:
         if not pending:
             break
-        traces = _level_traces([specs[i] for i in pending], cutoff, rho0,
-                               resolved=method == "jump-counting")
-        for i, levels in zip(pending, traces):
-            try:
-                out[i] = _settle(levels, method, cutoff, final=cutoff == ladder[-1],
-                                 fixed=k is not None)
-            except NumericalError as exc:
-                out[i] = exc
+        final = cutoff == ladder[-1]
+        traces = _level_traces([specs[i] for i in pending], cutoff, rho0, resolved=not inverting)
+        if inverting:
+            moments = _clamp_moments(traces[:, 1:])
+            tails = moments[:, -1]
+            met = tails < TAIL_TOLERANCE if k is None else np.ones(len(tails), bool)
+            if not (final or met.any()):  # every point climbs
+                continue
+            probs = np.zeros(traces.shape)
+            probs[met] = _inverted(moments[met])
+            low = probs.min(axis=1)
+            probs = np.where(probs < 0, 0.0, probs)
+        else:
+            low = traces.min(axis=1)
+            probs = np.where(traces < 0, 0.0, traces)
+            missing = 1.0 - probs.sum(axis=1)
+            met = ~(missing > NORMALIZATION_TOLERANCE)
+            moments = moments_from_probabilities(probs, cutoff)  # every row: selecting costs more
+            tails = np.where(missing > 0.0, missing, 0.0)
+        negative = low < -NEGATIVE_TOLERANCE
+        for j in (negative | met | final).nonzero()[0]:
+            i = pending[j]
+            if negative[j]:
+                out[i] = _negative_probability(low[j])
+            elif met[j]:
+                out[i] = PhotonStats(moments[j], probs[j], cutoff, float(tails[j]), method)
+            elif inverting:
+                out[i] = TailError(
+                    f"top binomial moment N_{cutoff} = {tails[j]:.3e} is still >= "
+                    f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
+                    f"N_1 = {moments[j, 0]:.4g}); the drive is beyond moment inversion")
+            else:
+                out[i] = CutoffError(f"probability {missing[j]:.3e} lies beyond "
+                                     f"n_max={cutoff}; insufficient n_max")
         pending = [i for i in pending if out[i] is None]
     return out
-
-
-def _settle(levels: np.ndarray, method: str, cutoff: int, final: bool,
-            fixed: bool) -> PhotonStats | None:
-    """Statistics from the level traces at ``cutoff``, or None to climb on."""
-    if method == "moment-inversion":
-        moments = _clamp_moments(levels[1:])
-        if fixed or moments[-1] < TAIL_TOLERANCE:
-            return PhotonStats(moments=moments, probabilities=invert_moments(moments),
-                               cutoff_k=cutoff, tail_bound=float(moments[-1]), method=method)
-        if final:
-            raise TailError(
-                f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
-                f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
-                f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
-        return None
-    try:
-        probs = _complete_distribution(levels, cutoff)
-    except CutoffError:
-        if final:
-            raise
-        return None
-    return PhotonStats(moments=moments_from_probabilities(probs, cutoff),
-                       probabilities=probs, cutoff_k=cutoff,
-                       tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
 
 
 def verify_dual(spec: DriveSpec, moments: PhotonStats, rho0=None,

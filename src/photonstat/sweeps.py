@@ -63,9 +63,10 @@ _SLICE_SPAN = 2.0
 
 def pi_pulse_number(T: float, a: float | None = None) -> float:
     """Photon number at which the pulse area reaches pi."""
+    _check_grids([T])  # SquarePulse's error for a width outside 0 < T < inf
     if a is None:
         return math.pi ** 2 / (2.0 * T)
-    return math.pi ** 2 / (4.0 * a * T)
+    return math.pi ** 2 / (4.0 * TwoLine(a=a).a * T)  # TwoLine checks 0 < a <= 1
 
 
 def _golden_step(state: tuple, left: bool, value) -> tuple:
@@ -148,7 +149,6 @@ def maximize_p1(topology: Topology, T: float, k: int | None = None) -> MaximizeR
     to that route's accuracy. ``at_boundary`` flags a maximum on the edge
     of the scanned range.
     """
-    _check_grids([T])
     n_star, at_boundary = _argmax_p1(topology, T)
     stats = photon_statistics(DriveSpec(SquarePulse(T=T, N=n_star), topology), k=k)
     return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)

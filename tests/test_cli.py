@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +246,27 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0][header.index("a")]) == 0.5
         assert float(rows[0][header.index("P1")]) > 0.6
+
+
+# Committed outputs (tests/data) of three commands; README says how to
+# regenerate them when a change moves printed digits on purpose.
+GOLDEN = {
+    "sweep_single.csv": ["sweep", "--preset", "custom", "--T-grid", "0.05,0.5,5",
+                         "--N-grid", "0:120:13"],
+    "sweep_two_line.csv": ["sweep", "--preset", "custom", "--a-grid", "0.01,1",
+                           "--T-grid", "0.05,0.5,5"],
+    "simulate_all.csv": ["simulate", "--T", "0.1", "--N", "49.35", "--method", "all",
+                         "--n-traj", "1000", "--seed", "7"],
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_byte_identical_to_the_committed_file(self, tmp_path, name, threads):
+        out = tmp_path / name
+        assert main(GOLDEN[name] + ["--threads", threads, "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
 class TestTraj:

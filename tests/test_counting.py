@@ -545,3 +545,248 @@ class TestSampledEnvelopes:
         assert np.all(moments.probabilities >= 0.0)
         assert np.all(counting.probabilities >= 0.0)
         assert abs(1.0 - counting.probabilities.sum()) <= NORMALIZATION_TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# Reference for the array settle of counting._row_statistics: the per-point
+# settle it replaced, kept verbatim with the helpers it called, on the same
+# level traces.
+
+NEGATIVE_TOLERANCE = counting.NEGATIVE_TOLERANCE
+START_CUTOFF = counting.START_CUTOFF
+TAIL_TOLERANCE = counting.TAIL_TOLERANCE
+PhotonStats = counting.PhotonStats
+_binomials = counting._binomials
+
+
+def _clamp_moments(vals: np.ndarray) -> np.ndarray:
+    return np.where((vals < 0) & (vals > -NEGATIVE_TOLERANCE), 0.0, vals)
+
+
+def _complete_distribution(traces: np.ndarray, n_max: int) -> np.ndarray:
+    probs = _clamp_probabilities(traces)
+    missing = 1.0 - probs.sum()
+    if missing > NORMALIZATION_TOLERANCE:
+        raise CutoffError(
+            f"probability {missing:.3e} lies beyond n_max={n_max}; insufficient n_max"
+        )
+    return probs
+
+
+def _clamp_probabilities(probs: np.ndarray) -> np.ndarray:
+    if probs.min() < -NEGATIVE_TOLERANCE:
+        raise NumericalError(
+            f"probability {probs.min():.3e} below -{NEGATIVE_TOLERANCE}; "
+            "inadequate cutoff or integration error"
+        )
+    return np.where(probs < 0, 0.0, probs)
+
+
+def invert_moments(moments) -> np.ndarray:
+    moments = np.asarray(moments, dtype=float)
+    if moments.ndim != 1 or len(moments) < 1:
+        raise SpecError("need at least the first binomial moment")
+    full = np.concatenate(([1.0], moments))
+    _, signed, lower = _binomials(len(moments))
+    # term (m, n) sits at row m, column n
+    return _clamp_probabilities(_column_sums(np.where(lower, signed * full[:, None], 0.0)))
+
+
+def moments_from_probabilities(probs, k: int) -> np.ndarray:
+    probs = np.asarray(probs, dtype=float)
+    binom, _, lower = _binomials(max(len(probs) - 1, k))
+    # term (n, m) sits at row n, column m - 1
+    cols = slice(1, k + 1)
+    return _column_sums(np.where(lower[:len(probs), cols],
+                                 binom[:len(probs), cols] * probs[:, None], 0.0))
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    if not len(terms):
+        return np.zeros(terms.shape[1])
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _settle(levels: np.ndarray, method: str, cutoff: int, final: bool,
+            fixed: bool) -> PhotonStats | None:
+    """Statistics from the level traces at ``cutoff``, or None to climb on."""
+    if method == "moment-inversion":
+        moments = _clamp_moments(levels[1:])
+        if fixed or moments[-1] < TAIL_TOLERANCE:
+            return PhotonStats(moments=moments, probabilities=invert_moments(moments),
+                               cutoff_k=cutoff, tail_bound=float(moments[-1]), method=method)
+        if final:
+            raise TailError(
+                f"top binomial moment N_{cutoff} = {moments[-1]:.3e} is still >= "
+                f"{TAIL_TOLERANCE:g} at the cutoff cap k = {MAX_CUTOFF} (mean count "
+                f"N_1 = {moments[0]:.4g}); the drive is beyond moment inversion")
+        return None
+    try:
+        probs = _complete_distribution(levels, cutoff)
+    except CutoffError:
+        if final:
+            raise
+        return None
+    return PhotonStats(moments=moments_from_probabilities(probs, cutoff),
+                       probabilities=probs, cutoff_k=cutoff,
+                       tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
+
+
+def reference_row_statistics(specs, method="moment-inversion", k=None, rho0=None) -> list:
+    ladder = (k,) if k is not None else tuple(range(START_CUTOFF, MAX_CUTOFF + 1, 2))
+    out: list = [None] * len(specs)
+    pending = list(range(len(specs)))
+    for cutoff in ladder:
+        if not pending:
+            break
+        traces = counting._level_traces([specs[i] for i in pending], cutoff, rho0,
+                                        resolved=method == "jump-counting")
+        for i, levels in zip(pending, traces):
+            try:
+                out[i] = _settle(levels, method, cutoff, final=cutoff == ladder[-1],
+                                 fixed=k is not None)
+            except NumericalError as exc:
+                out[i] = exc
+        pending = [i for i in pending if out[i] is None]
+    return out
+
+
+def assert_same_entries(got: list, want: list) -> None:
+    """Entries bit for bit equal; errors of the same type with the same message."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is type(w), (i, g, w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w), i
+            continue
+        assert (g.cutoff_k, g.method) == (w.cutoff_k, w.method), i
+        assert np.float64(g.tail_bound).tobytes() == np.float64(w.tail_bound).tobytes(), i
+        for a, b in [(g.moments, w.moments), (g.probabilities, w.probabilities)]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
+def mixed_row(topology) -> list:
+    """Square pulses on ``topology`` that settle at every rung 4..16 of both
+    routes or fail: widths 0.05..20 times 5..400 photons, the domain corner
+    T = 5, N = 100 (a negative P_n on TwoLine(a=1)) and T = 20, N = 400,
+    beyond both routes at the cap."""
+    points = [(T, N) for T in (0.05, 0.3, 1.0, 2.0, 5.0, 10.0, 20.0)
+              for N in (5.0, 40.0, 100.0, 150.0, 300.0)]
+    return [ps.DriveSpec(ps.SquarePulse(T=T, N=N), topology)
+            for T, N in points + [(2.0, 60.0), (5.0, 60.0), (10.0, 60.0), (5.0, 100.0),
+                                  (20.0, 400.0)]]
+
+
+METHODS = ["moment-inversion", "jump-counting"]
+
+
+class TestArraySettle:
+    """counting._row_statistics settles each rung with array operations;
+    every entry must be bit for bit what the per-point settle gave, and each
+    error of the same type, with the same message, in the same order."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [None, 2, 5, 16], ids=["adaptive", "k2", "k5", "k16"])
+    @pytest.mark.parametrize("topology", [ps.TwoLine(a=1.0), ps.SingleLine(delta=0.7)],
+                             ids=["two-line", "single-line"])
+    def test_rows_match_the_per_point_settle(self, topology, method, k):
+        specs = mixed_row(topology)
+        want = reference_row_statistics(specs, method, k)
+        assert_same_entries(counting._row_statistics(specs, method, k), want)
+        if k is None:  # the row covers every rung and every failure of the route
+            kinds = {s.cutoff_k if isinstance(s, PhotonStats) else type(s) for s in want}
+            assert set(range(4, MAX_CUTOFF + 1, 2)) <= kinds
+            assert (TailError if method == METHODS[0] else CutoffError) in kinds
+            if topology == ps.TwoLine(a=1.0) and method == METHODS[0]:
+                assert NumericalError in kinds
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [None, 6])
+    @pytest.mark.parametrize("start", ["excited", "mixed"])
+    def test_other_starts(self, method, k, start):
+        rho0 = ps.EXCITED if start == "excited" else random_density(np.random.default_rng(5))
+        specs = mixed_row(ps.TwoLine(a=0.3, delta=-1.2))[::3]
+        assert_same_entries(counting._row_statistics(specs, method, k, rho0),
+                            reference_row_statistics(specs, method, k, rho0))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_sampled_envelope(self, method, k):
+        specs = [ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0)))]
+        assert_same_entries(counting._row_statistics(specs, method, k),
+                            reference_row_statistics(specs, method, k))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [None, 3, 8, 16])
+    def test_error_order_on_synthetic_traces(self, monkeypatch, method, k):
+        monkeypatch.setattr(counting, "_level_traces", synthetic_traces)
+        specs = [ps.DriveSpec(ps.SquarePulse(T=1.0, N=float(n))) for n in range(72)]
+        want = reference_row_statistics(specs, method, k)
+        assert_same_entries(counting._row_statistics(specs, method, k), want)
+        if k is None:
+            kinds = {type(s) for s in want}
+            assert {PhotonStats, NumericalError,
+                    TailError if method == METHODS[0] else CutoffError} <= kinds
+
+    def test_counting_distribution_is_the_fixed_cutoff_row_of_one(self, monkeypatch):
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except NumericalError as exc:
+                return exc
+
+        def reference(spec, n_max):
+            traces = counting._level_traces([spec], n_max, None, True)
+            return _complete_distribution(traces[0], n_max)
+
+        def check(cases) -> list:
+            want = [outcome(reference, *case) for case in cases]
+            for got, w in zip([outcome(ps.counting_distribution, *case) for case in cases], want):
+                assert type(got) is type(w)
+                if isinstance(w, Exception):
+                    assert str(got) == str(w)
+                else:
+                    assert got.shape == w.shape and got.tobytes() == w.tobytes()
+            return want
+
+        want = check([(PI_PULSE, 1), (PI_PULSE, 6), (BEYOND_CAP, MAX_CUTOFF)])
+        assert type(want[0]) is CutoffError
+        assert str(want[0]).endswith("lies beyond n_max=1; insufficient n_max")
+        monkeypatch.setattr(counting, "_level_traces", synthetic_traces)
+        want = check([(ps.DriveSpec(ps.SquarePulse(T=1.0, N=float(n))), 3 + n % 5)
+                      for n in range(40)])
+        assert {CutoffError, NumericalError} <= {type(w) for w in want}
+
+
+def synthetic_traces(specs, k, rho0, resolved):
+    """Made-up level traces 0..k at cutoff ``k``. The point whose N is n
+    meets its criterion from cutoff 4 + 2 (n % 8) on, and has a P_n beyond
+    the clamp band at cutoff 4 + 2 (n // 8) (18 or more: never), so points
+    0..63 meet every order of criterion, negative check and last rung. At
+    other cutoffs a value may sit in the clamp band."""
+    rows = []
+    for spec in specs:
+        n = int(spec.pulse.N)
+        rng = np.random.default_rng([n, k])
+        probs = rng.dirichlet(np.ones(k + 1)) * np.geomspace(1.0, 1e-14, k + 1)
+        met = k >= 4 + 2 * (n % 8)
+        if met:
+            probs /= probs.sum()
+        elif resolved:  # a missing mass of 1e-3
+            probs *= (1.0 - 1e-3) / probs.sum()
+        else:  # a top moment N_k = P_k of 1e-3
+            probs[:-1] *= (1.0 - 1e-3) / probs[:-1].sum()
+            probs[-1] = 1e-3
+        below = k == 4 + 2 * (n // 8)
+        band = not below and rng.random() < 0.5
+        if resolved:
+            probs[-1] = -2e-8 if below else -5e-10 if band else probs[-1]
+            rows.append(probs)
+            continue
+        moments = moments_from_probabilities(probs, k)
+        if below:  # the top moment stays on its side of the criterion; P_(k-1) < -1e-8
+            moments[-1] += 5e-9
+        elif band and met:
+            moments[-1] = -5e-10
+        rows.append(np.concatenate(([1.0], moments)))
+    return np.array(rows)

@@ -28,6 +28,22 @@ class TestPiPulseNumber:
     def test_two_line(self):
         assert ps.pi_pulse_number(0.1, a=0.01) == pytest.approx(np.pi**2 / 0.004)
 
+    @pytest.mark.parametrize("T", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("a", [None, 0.5])
+    def test_width_outside_square_pulse_domain(self, T, a):
+        with pytest.raises(SpecError, match=rf"^pulse width must satisfy 0 < T < inf, got T={T}$"):
+            ps.pi_pulse_number(T, a)
+
+    @pytest.mark.parametrize("a", [0.0, -0.2, 1.5, np.nan, np.inf])
+    def test_ratio_outside_two_line_domain(self, a):
+        with pytest.raises(SpecError,
+                           match=rf"^coupling ratio must satisfy 0 < a <= 1, got a={a}$"):
+            ps.pi_pulse_number(0.1, a)
+
+    def test_domain_edges_accepted(self):
+        assert ps.pi_pulse_number(0.1, a=1) == ps.pi_pulse_number(0.1, a=1.0) > 0
+        assert ps.pi_pulse_number(1e-300) > 0
+
 
 class TestMaximizeP1:
     def test_single_line_optimum(self):
