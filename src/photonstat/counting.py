@@ -20,14 +20,16 @@ Two independent routes produce the count distribution over the window:
 
 Both hierarchies are block lower-bidiagonal linear systems, advanced up to
 the pulse end: square pulses of one topology, at any widths, as one stack
-of exact exponentials (:func:`_pulse_traces`), and a sampled envelope by
+of exact exponentials whose first block columns hold the level states
+(:func:`_pulse_stack`), and a sampled envelope by
 :func:`photonstat.propagator.advance` (exact on flat parts, CF4 verified by
 step halving where it varies). The undriven tail from the pulse end to
 ``t_end`` adds to every level trace in closed form (:func:`_end_traces`).
 A row of square pulses (a sweep row) climbs the cutoff ladder together:
 one stacked hierarchy per rung over its points still short of their
 criterion, settled as arrays. The exact ``P_1`` of
-:func:`one_photon_probability` is the k = 1 jump-counting rung of the stack.
+:func:`one_photon_probability` is the k = 1 jump-counting rung of the stack,
+which a maximizer prepares once per (topology, T) (:func:`_one_photon_objective`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .liouville import (
     DriveSpec,
     SquarePulse,
     Topology,
+    default_window,
     drive_coefficient,
     jump_superop,
     total_decay_rate,
@@ -111,15 +114,19 @@ class PhotonStats:
 # ---------------------------------------------------------------------------
 # Hierarchy integration
 
+def _check_cutoff(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
+
+
 def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
     """Traces of hierarchy levels 0..k at t_end, from ``rho0`` (default
     ``|g><g|``), one row per spec of ``specs``: square pulses of one
     topology, or a single spec of any envelope."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
+    _check_cutoff(k)
     if isinstance(specs[0].pulse, SquarePulse):
         T, N, t_end = np.array([(s.pulse.T, s.pulse.N, s.t_end) for s in specs], dtype=float).T
-        return _pulse_traces(specs[0].topology, T, N, t_end, k, rho0, resolved)
+        return _pulse_stack(specs[0].topology, T, t_end, k, rho0, resolved)(N)
     (spec,) = specs
     y = np.zeros(4 * (k + 1), dtype=complex)
     y[:4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
@@ -129,47 +136,54 @@ def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
     # nothing drives the emitter after the pulse end
     stop = min(max(0.0, spec.pulse.end), spec.t_end)
     levels = advance(spec, y, 0.0, stop, tol, resolved).reshape(1, k + 1, 4).real
-    return _end_traces(levels[..., 0], levels[..., 3], spec.topology, spec.t_end - stop, resolved)
+    return _end_traces(levels[..., 0], levels[..., 3],
+                       _tail_share(spec.topology, spec.t_end - stop), resolved)
 
 
-def _pulse_traces(topology: Topology, T, N: np.ndarray, t_end, k: int, rho0,
-                  resolved: bool) -> np.ndarray:
-    """:func:`_level_traces` of square pulses on ``topology`` of widths ``T``,
-    photon numbers ``N`` and windows ``t_end`` (arrays, or scalars for all),
-    one kernel slice per pulse over its own width: each row is bit for bit
-    the pulse alone."""
+def _pulse_stack(topology: Topology, T, t_end, k: int, rho0, resolved: bool):
+    """:func:`_level_traces` of square pulses on ``topology`` of widths ``T`` and
+    windows ``t_end`` (arrays, or scalars for all) as a function of their photon
+    numbers: one kernel slice per pulse, each row bit for bit the pulse alone."""
     static, drive, jump = real_parts(topology)
-    amps = np.sqrt(drive_coefficient(topology) * (N / T))
-    pulse = _block_expm((static - jump if resolved else static) + amps[:, None, None] * drive,
-                        jump, k, T)
-    if rho0 is None:  # |g><g| is the first unit vector of r
-        state = pulse[:, :, 0]
-    else:  # complex, as in advance, where a start carries imaginary roundoff in r
+    diag = static - jump if resolved else static
+    coefficient = drive_coefficient(topology)
+    share = _tail_share(topology, t_end - T)
+    if rho0 is not None:  # complex, as in advance, where a start carries imaginary roundoff in r
         r0 = _TO_R @ vectorize(validate_density(rho0))
-        state = pulse[:, :, :4] @ (r0 if r0.imag.any() else r0.real)
-    # the populations of level j sit at rows 4 j and 4 j + 1 of r
-    levels = state.real.reshape(len(N), k + 1, 4)
-    return _end_traces(levels[..., 0], levels[..., 1], topology, t_end - T, resolved)
+        r0 = r0 if r0.imag.any() else r0.real
+
+    def traces(N: np.ndarray) -> np.ndarray:
+        amps = np.sqrt(coefficient * (N / T))
+        column = _block_expm(diag + amps[:, None, None] * drive, jump, k, T)
+        # level m's state F_m r0 (column 0 for |g><g|) has its populations at entries 0 and 1
+        state = (column[..., 0] if rho0 is None else column @ r0).real
+        return _end_traces(state[..., 0], state[..., 1], share, resolved)
+
+    return traces
 
 
-def _end_traces(ground: np.ndarray, excited: np.ndarray, topology: Topology,
-                tail: np.ndarray, resolved: bool) -> np.ndarray:
+def _tail_share(topology: Topology, tail):
+    """``c = (gamma_mon / gamma) (1 - exp(-gamma tail))`` of :func:`_end_traces` by
+    ``math.expm1`` (``np.expm1`` may differ in the last bit): one float for tails
+    ``tail`` of one length, else a column of one share per tail."""
+    rate = total_decay_rate(topology)
+    monitored = real_parts(topology)[2][0, 1]  # J moves gamma_mon rho_ee one level up
+    tails = np.ravel(tail)
+    if (tails == tails[0]).all():
+        return monitored / rate * -math.expm1(-rate * float(tails[0]))
+    return np.array([monitored / rate * -math.expm1(-rate * t) for t in tails.tolist()])[:, None]
+
+
+def _end_traces(ground: np.ndarray, excited: np.ndarray, share, resolved: bool) -> np.ndarray:
     """Traces of the hierarchy levels 0..k (last axis) whose populations are
-    ``ground`` and ``excited`` (one row per point) after undriven tails of
-    lengths ``tail`` (an array, or a scalar for all).
+    ``ground`` and ``excited`` (one row per point) after an undriven tail of
+    share ``share`` (see :func:`_tail_share`).
 
     Every level's excited population decays as ``exp(-gamma t)``, and the
     monitored share ``gamma_mon / gamma`` of that decay feeds the level
     above, so level m gains ``c`` times the excited population of level
-    m - 1 and, with ``resolved`` (jump counting), loses ``c`` times its own,
-    where ``c = (gamma_mon / gamma) (1 - exp(-gamma tail))``.
+    m - 1 and, with ``resolved`` (jump counting), loses ``c`` times its own.
     """
-    rate = total_decay_rate(topology)
-    monitored = real_parts(topology)[2][0, 1]  # J moves gamma_mon rho_ee one level up
-    # math.expm1 once per distinct tail (np.expm1 may differ in the last bit)
-    tails = np.ravel(tail).tolist()
-    shares = {t: monitored / rate * -math.expm1(-rate * t) for t in set(tails)}
-    share = np.array([shares[t] for t in tails])[:, None]
     fed = np.zeros_like(excited)
     fed[..., 1:] = excited[..., :-1]
     return ground + excited + share * (fed - excited if resolved else fed)
@@ -196,8 +210,7 @@ def counting_distribution(spec: DriveSpec, n_max: int, rho0=None) -> np.ndarray:
     """Count probabilities ``P_0 .. P_n_max`` by jump counting at the fixed cutoff
     ``n_max``, from ``rho0`` (default ``|g><g|``); :class:`CutoffError` when
     more than ``NORMALIZATION_TOLERANCE`` of the probability lies beyond it."""
-    if n_max is None:  # photon_statistics would climb the ladder
-        raise SpecError("cutoff k must be an integer >= 1, got k=None")
+    _check_cutoff(n_max)  # None too, on which photon_statistics would climb the ladder
     return photon_statistics(spec, "jump-counting", k=n_max, rho0=rho0).probabilities
 
 
@@ -298,14 +311,23 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
     8x8 block form ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for
     integrals of matrix exponentials). It is the k = 1 jump-counting rung of
     the pulse stack the counting routes use, so each value is bit for bit
-    independent of the other photon numbers passed with it.
+    independent of the other photon numbers passed with it. It is the checked
+    one-shot use of the objective a maximizer prepares once per (topology, T).
     """
     ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
     if not ((ns >= 0) & (ns < math.inf)).all():
         raise SpecError("photon numbers must be finite with N >= 0, "
                         f"got {ns[~((ns >= 0) & (ns < math.inf))][0]}")
-    t_end = DriveSpec(SquarePulse(T=T, N=0.0), topology).t_end
-    return _pulse_traces(topology, T, ns, t_end, 1, None, True)[:, 1] if len(ns) else ns
+    p1 = _one_photon_objective(topology, T)
+    return p1(ns) if len(ns) else ns
+
+
+def _one_photon_objective(topology: Topology, T: float):
+    """:func:`one_photon_probability` at ``(topology, T)`` of unchecked photon
+    numbers (an array), prepared once: one k = 1 kernel call per use."""
+    t_end = default_window(SquarePulse(T=T, N=0.0), topology)  # SquarePulse checks T
+    traces = _pulse_stack(topology, T, t_end, 1, None, True)
+    return lambda ns: traces(ns)[:, 1]
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
@@ -336,8 +358,9 @@ def _row_statistics(specs, method: str = "moment-inversion", k: int | None = Non
     raised, bit for bit what ``photon_statistics(specs[i], ...)`` gives.
 
     Each rung of the cutoff ladder is one stacked hierarchy over the pending
-    points, settled as arrays; Python only builds the result of each point
-    that leaves. Moment inversion inverts a point that meets its criterion
+    points, settled as arrays; a rung that no point leaves stops after its
+    criterion, and Python only builds the result of each point that leaves.
+    Moment inversion inverts a point that meets its criterion
     (top moment below ``TAIL_TOLERANCE``, or any at a fixed ``k``), which may
     then fail the negative-probability check, and raises :class:`TailError`
     for one short of it at the last rung. Jump counting runs that check at
@@ -356,26 +379,30 @@ def _row_statistics(specs, method: str = "moment-inversion", k: int | None = Non
         final = cutoff == ladder[-1]
         traces = _level_traces([specs[i] for i in pending], cutoff, rho0, resolved=not inverting)
         if inverting:
+            # clamping takes no top moment across TAIL_TOLERANCE
+            met = traces[:, -1] < TAIL_TOLERANCE if k is None else np.ones(len(traces), bool)
+            leaving = range(len(met)) if final else met.nonzero()[0]
+            if not len(leaving):  # every point climbs
+                continue
             moments = _clamp_moments(traces[:, 1:])
             tails = moments[:, -1]
-            met = tails < TAIL_TOLERANCE if k is None else np.ones(len(tails), bool)
-            if not (final or met.any()):  # every point climbs
-                continue
-            probs = np.zeros(traces.shape)
-            probs[met] = _inverted(moments[met])
-            low = probs.min(axis=1)
+            probs = _inverted(moments)  # every row: selecting costs more
+            low = np.where(met, probs.min(axis=1), 0.0)  # only a settling point is checked
             probs = np.where(probs < 0, 0.0, probs)
         else:
             low = traces.min(axis=1)
             probs = np.where(traces < 0, 0.0, traces)
             missing = 1.0 - probs.sum(axis=1)
             met = ~(missing > NORMALIZATION_TOLERANCE)
+            leaving = (range(len(met)) if final
+                       else (met | (low < -NEGATIVE_TOLERANCE)).nonzero()[0])
+            if not len(leaving):
+                continue
             moments = moments_from_probabilities(probs, cutoff)  # every row: selecting costs more
             tails = np.where(missing > 0.0, missing, 0.0)
-        negative = low < -NEGATIVE_TOLERANCE
-        for j in (negative | met | final).nonzero()[0]:
+        for j in leaving:
             i = pending[j]
-            if negative[j]:
+            if low[j] < -NEGATIVE_TOLERANCE:
                 out[i] = _negative_probability(low[j])
             elif met[j]:
                 out[i] = PhotonStats(moments[j], probs[j], cutoff, float(tails[j]), method)

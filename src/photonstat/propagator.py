@@ -10,10 +10,11 @@ Where a sampled envelope varies, the part is integrated with the
 fourth-order commutator-free Magnus scheme CF4 (two exponentials per
 step), with a halved-step Richardson check refining until the difference
 is below tolerance. The counting routes of :mod:`photonstat.counting`
-stack square pulses of any widths into one exponential call of their own
-and add the undriven tail in closed form. The propagator of the master
-equation over any part of the window (:func:`propagator_between`) is the
-zeroth hierarchy level advanced from the identity.
+stack square pulses of any widths into one exponential call of their own,
+read the level states off its first block column, and add the undriven tail
+in closed form. The propagator of the master equation over any part of the
+window (:func:`propagator_between`) is the zeroth hierarchy level advanced
+from the identity.
 
 States and superoperators are column-stacked (:func:`photonstat.liouville.vectorize`)
 at the boundary of :func:`advance`, but propagated in the Hermitian
@@ -27,7 +28,8 @@ TAC 23, 395 (1978)) and fixed by its first block column. :func:`_block_expm`
 computes that column by truncated-Taylor scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in the algebra of 4x4 matrix
 polynomials truncated at level k, so a product costs one ``4 x 4(k+1)`` by
-``4(k+1) x 4(k+1)`` matrix product instead of a dense ``4(k+1)``-cube one.
+``4(k+1) x 4(k+1)`` matrix product instead of a dense ``4(k+1)``-cube one,
+and returns it; only :func:`advance` expands it to the matrix (:func:`_dense`).
 """
 
 from __future__ import annotations
@@ -172,8 +174,10 @@ def _toeplitz(buf: np.ndarray, k: int) -> np.ndarray:
 
 def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     """Exponential over ``dt`` of the hierarchy generator with diagonal blocks
-    ``diag`` (shape ``(..., 4, 4)``) and feed ``feed``, levels 0..k, as a dense
-    block lower-triangular matrix. ``dt`` is one time step, or one per slice.
+    ``diag`` (shape ``(..., 4, 4)``) and feed ``feed``, levels 0..k, as its
+    first block column: ``F_m`` at ``[..., m, :, :]`` (shape ``(..., k+1, 4, 4)``),
+    which :func:`_dense` expands to the matrix. ``dt`` is one time step, or
+    one per slice.
 
     A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its
     first block column; a product with another is that row times the
@@ -184,7 +188,7 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     for bit as alone.
     """
     D = diag.reshape(-1, 4, 4)
-    n, d, w = len(D), 4 * k + 4, 8 * k + 4
+    n, w = len(D), 8 * k + 4
     # elementwise sums keep the norm, and so the choice, independent of the stack
     a = np.abs(D) + np.abs(feed)
     a = a[:, :2] + a[:, 2:]
@@ -218,10 +222,18 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     for j in range(int(squarings.max())):
         np.copyto(E[:, :, 4 * k:], E[:, :, 4 * k:] @ _toeplitz(E, k),
                   where=True if j < fewest else (squarings > j)[:, None, None])
-    # the dense matrix reads the row reversed blockwise
-    rev = np.zeros_like(E)
-    rev[:, :, :d].reshape(n, 4, k + 1, 4)[:] = E[:, :, 4 * k:].reshape(n, 4, k + 1, 4)[:, :, ::-1]
-    return _toeplitz(rev, k).reshape(diag.shape[:-2] + (d, d))
+    column = E[:, :, 4 * k:].reshape(n, 4, k + 1, 4).swapaxes(1, 2)
+    return column.reshape(diag.shape[:-2] + (k + 1, 4, 4))
+
+
+def _dense(column: np.ndarray) -> np.ndarray:
+    """The block lower-triangular Toeplitz matrices of first block columns
+    ``column`` (shape ``(..., k+1, 4, 4)``): block (i, j) is ``F_(i-j)``."""
+    k = column.shape[-3] - 1
+    F = column.reshape(-1, k + 1, 4, 4)
+    rev = np.zeros((len(F), 4, 8 * k + 4))  # the row [F_k, ..., F_0, 0 ... 0]
+    rev[:, :, :4 * k + 4].reshape(len(F), 4, k + 1, 4)[:] = F[:, ::-1].swapaxes(1, 2)
+    return _toeplitz(rev, k).reshape(column.shape[:-3] + (4 * k + 4, 4 * k + 4))
 
 
 def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
@@ -275,7 +287,7 @@ def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
     feed = p * jump
     size = 2 * _STACK_STEPS
     for lo in range(0, 2 * n, size):
-        stack = _block_expm(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n)
+        stack = _dense(_block_expm(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n))
         for exp_j in stack:
             y = exp_j @ y
     return y
@@ -342,7 +354,7 @@ def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
         if amp is None:
             r = _integrate_part(spec, static, r, a, b, tol)
         else:
-            r = _block_expm(static + amp * drive, jump, k, b - a) @ r
+            r = _dense(_block_expm(static + amp * drive, jump, k, b - a)) @ r
     return _rebase(_FROM_R, r).reshape(y.shape)
 
 

@@ -25,8 +25,9 @@ import numpy as np
 
 from .counting import (
     PhotonStats,
+    _check_cutoff,
+    _one_photon_objective,
     _row_statistics,
-    one_photon_probability,
     photon_statistics,
     verify_dual,
 )
@@ -149,6 +150,7 @@ def maximize_p1(topology: Topology, T: float, k: int | None = None) -> MaximizeR
     to that route's accuracy. ``at_boundary`` flags a maximum on the edge
     of the scanned range.
     """
+    _check_grids([T], k=k)
     n_star, at_boundary = _argmax_p1(topology, T)
     stats = photon_statistics(DriveSpec(SquarePulse(T=T, N=n_star), topology), k=k)
     return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
@@ -158,11 +160,11 @@ def _argmax_p1(topology: Topology, T: float) -> tuple[float, bool]:
     """The :func:`maximize_p1` maximizer, and whether it lies at the edge of the scan."""
     a = topology.a if isinstance(topology, TwoLine) else None
     grid = np.linspace(0.0, _FIRST_LOBE * pi_pulse_number(T, a), _SCAN_POINTS)
-    i_best = int(np.argmax(one_photon_probability(topology, T, grid)))
+    p1 = _one_photon_objective(topology, T)
+    i_best = int(np.argmax(p1(grid)))
     b_lo = grid[max(i_best - 1, 0)]
     b_hi = grid[min(i_best + 1, len(grid) - 1)]
-    n_star = _golden_max(lambda ns: one_photon_probability(topology, T, ns),
-                         float(b_lo), float(b_hi), _REL_TOL)
+    n_star = _golden_max(p1, float(b_lo), float(b_hi), _REL_TOL)
     return n_star, i_best in (0, len(grid) - 1)
 
 
@@ -229,11 +231,14 @@ def _check_mask(n: int) -> np.ndarray:
     return rng.random(n) < _CHECK_FRACTION
 
 
-def _check_grids(T_grid, N_grid=()) -> None:
+def _check_grids(T_grid, N_grid=(), k: int | None = None) -> None:
     """Raise, before any work starts, the :class:`SquarePulse` error of the
-    first width, then photon number, that no square pulse takes."""
+    first width, then photon number, that no square pulse takes, then the
+    error of a cutoff ``k`` other than ``None`` that is not an integer >= 1."""
     for T, N in [(T, 0.0) for T in T_grid] + [(1.0, N) for N in N_grid]:
         SquarePulse(T=float(T), N=float(N))
+    if k is not None:
+        _check_cutoff(k)
 
 
 def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
@@ -246,7 +251,7 @@ def sweep_single_line(T_grid=None, N_grid=None, k: int | None = None,
     """
     T_grid = np.asarray(DEFAULT_T_GRID if T_grid is None else T_grid, dtype=float)
     N_grid = np.asarray(DEFAULT_N_GRID if N_grid is None else N_grid, dtype=float)
-    _check_grids(T_grid, N_grid)
+    _check_grids(T_grid, N_grid, k)
     checks = _check_mask(len(T_grid) * len(N_grid)).reshape(len(T_grid), len(N_grid))
     topology = SingleLine(delta=delta)
     rows = [(topology, [float(T)] * len(N_grid), [float(N) for N in N_grid], k,
@@ -267,7 +272,7 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120,
     """
     if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
         raise SpecError(f"points must be an integer >= 1, got points={points!r}")
-    _check_grids([T])
+    _check_grids([T], k=k)
     a_values = [float(a) for a in np.atleast_1d(a_values)]
     checks = _check_mask(len(a_values) * points).reshape(len(a_values), points)
     rows = [(TwoLine(a=a, delta=delta), [float(T)] * points,
@@ -289,7 +294,7 @@ def sweep_two_line(a_grid=None, T_grid=None, k: int | None = None,
     """
     a_grid = np.asarray(DEFAULT_A_GRID if a_grid is None else a_grid, dtype=float)
     T_grid = np.asarray(DEFAULT_T_GRID if T_grid is None else T_grid, dtype=float)
-    _check_grids(T_grid)
+    _check_grids(T_grid, k=k)
     checks = _check_mask(len(a_grid) * len(T_grid)).reshape(len(a_grid), len(T_grid))
     rows = [(TwoLine(a=float(a), delta=delta), [float(T) for T in T_grid], k,
              checks[i].tolist())

@@ -11,12 +11,13 @@ from scipy.integrate import simpson
 
 import photonstat as ps
 from conftest import TimeGrid, random_density, random_square_spec, time_grid
-from photonstat import counting
+from photonstat import counting, propagator
 from photonstat.counting import (
     DUAL_TOLERANCE,
     MAX_CUTOFF,
     NORMALIZATION_TOLERANCE,
     _end_traces,
+    _tail_share,
     verify_dual,
 )
 from photonstat.errors import CutoffError, NumericalError, SpecError, TailError
@@ -376,9 +377,17 @@ class TestClosedFormTail:
         exact = advance(spec, y, 0.3, spec.t_end, 1e-9, resolved).reshape(k + 1, 4)
         want = (exact[:, 0] + exact[:, 3]).real
         got = _end_traces(np.array([[level[0, 0].real for level in levels]]),
-                          np.array([[level[1, 1].real for level in levels]]), topology,
-                          np.array([spec.t_end - 0.3]), resolved)[0]
+                          np.array([[level[1, 1].real for level in levels]]),
+                          _tail_share(topology, np.array([spec.t_end - 0.3])), resolved)[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("topology", [ps.SingleLine(), ps.TwoLine(a=0.01)])
+    def test_tail_share_shared_or_per_point(self, topology):
+        tails = [0.3, 12.0, 0.0]
+        one = [_tail_share(topology, t) for t in tails]
+        assert all(isinstance(share, float) for share in one)
+        assert _tail_share(topology, np.full(5, 12.0)) == one[1]
+        assert np.array_equal(_tail_share(topology, np.array(tails)), np.array(one)[:, None])
 
 
 class TestPulseStack:
@@ -410,9 +419,37 @@ class TestPulseStack:
             y = np.zeros(4 * (k + 1), dtype=complex)
             y[:4] = vectorize(rho0)
             levels = advance(spec, y, 0.0, spec.pulse.T, 1e-9, resolved).reshape(1, k + 1, 4)
-            want = _end_traces(levels[..., 0].real, levels[..., 3].real, spec.topology,
-                               np.array([spec.t_end - spec.pulse.T]), resolved)[0]
+            want = _end_traces(levels[..., 0].real, levels[..., 3].real,
+                               _tail_share(spec.topology, spec.t_end - spec.pulse.T), resolved)[0]
             assert np.array_equal(row, want)
+
+
+class TestNoDenseMatrix:
+    """Square-pulse counting reads the kernel's first block column; only
+    ``advance`` expands it to the dense block matrix."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense(self, monkeypatch):
+        def refuse(column):
+            raise AssertionError("a counting path built the dense block matrix")
+
+        monkeypatch.setattr(propagator, "_dense", refuse)
+
+    def test_maximize_p1(self):
+        assert ps.maximize_p1(ps.TwoLine(a=0.3), 0.7).stats.cutoff_k >= 4
+
+    @pytest.mark.parametrize("method", ["moment-inversion", "jump-counting"])
+    @pytest.mark.parametrize("rho0", [None, ps.EXCITED, random_density(np.random.default_rng(5))],
+                             ids=["ground", "excited", "mixed"])
+    def test_photon_statistics(self, method, rho0):
+        assert ps.photon_statistics(PI_PULSE, method, rho0=rho0).cutoff_k >= 4
+
+    def test_sweep_single_line(self):
+        assert len(ps.sweep_single_line(T_grid=[0.1, 2.0], N_grid=[5.0, 40.0]).records) == 4
+
+    def test_advance_uses_it(self):
+        with pytest.raises(AssertionError, match="dense block matrix"):
+            ps.propagator_between(PI_PULSE, 0.0, 0.05)
 
 
 # Draw 9 of random_square_spec(default_rng(14)): inside the randomized suite's
@@ -478,6 +515,18 @@ class TestOnePhotonProbability:
     def test_non_finite_photon_number_rejected(self, bad):
         with pytest.raises(SpecError, match=rf"N >= 0, got {bad}"):
             ps.one_photon_probability(ps.SingleLine(), 0.1, [1.0, bad])
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("photon_numbers", [[1.0], []], ids=["one", "none"])
+    def test_width_outside_square_pulse_domain(self, T, photon_numbers):
+        with pytest.raises(SpecError, match=rf"^pulse width must satisfy 0 < T < inf, got T={T}$"):
+            ps.one_photon_probability(ps.TwoLine(a=0.5), T, photon_numbers)
+
+    @pytest.mark.parametrize("a", [0.0, -0.2, 1.5, math.nan])
+    def test_ratio_outside_two_line_domain(self, a):
+        with pytest.raises(SpecError,
+                           match=rf"^coupling ratio must satisfy 0 < a <= 1, got a={a}$"):
+            ps.one_photon_probability(ps.TwoLine(a=a), 0.1, [1.0])
 
     def test_no_photon_numbers_give_an_empty_array(self, kernel_calls):
         p1 = ps.one_photon_probability(ps.TwoLine(a=0.5), 0.1, [])

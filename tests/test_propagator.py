@@ -15,6 +15,7 @@ from photonstat.propagator import (
     _TO_R,
     _block_expm,
     _cf4,
+    _dense,
     _real,
     advance,
     real_parts,
@@ -308,7 +309,7 @@ class TestBlockExponential:
         n = (1, 2, 5, 17, 64)[k % 5]
         dt = float(rng.uniform(0.5, 2.0))
         diag, feed = norm_spread_stack(topology, n, rng, dt)
-        got = _block_expm(diag, feed, k, dt)
+        got = _dense(_block_expm(diag, feed, k, dt))
         assert got.shape == (n, 4 * (k + 1), 4 * (k + 1))
         for d, f, g in zip(diag, feed, got):
             ref = expm(block_hierarchy(d, f, k) * dt)
@@ -325,3 +326,17 @@ class TestBlockExponential:
                 stack = _block_expm(diag, feed, k, 1.0)
                 for i in rng.permutation(24)[:8]:
                     assert np.array_equal(stack[i], _block_expm(diag[i], feed[i], k, 1.0))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 16])
+    def test_dense_matrix_is_the_block_toeplitz_of_the_column(self, k):
+        diag, feed = norm_spread_stack(ps.TwoLine(a=0.3), 6, np.random.default_rng(k))
+        column = _block_expm(diag, feed, k, 1.0)
+        assert column.shape == (6, k + 1, 4, 4)
+        dense = _dense(column)
+        assert dense.shape == (6, 4 * (k + 1), 4 * (k + 1))
+        for i in range(k + 1):
+            for j in range(k + 1):
+                block = dense[:, 4 * i:4 * i + 4, 4 * j:4 * j + 4]
+                want = column[:, i - j] if j <= i else np.zeros_like(block)
+                assert np.array_equal(block, want)
+        assert np.array_equal(_dense(column[2]), dense[2])

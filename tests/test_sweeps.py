@@ -75,17 +75,54 @@ class TestMaximizeP1:
     def test_reported_p1_is_the_objective_at_the_maximizer(self, monkeypatch):
         seen = {}
 
-        def recording(topology, T, ns):
-            p1 = ps.one_photon_probability(topology, T, ns)
-            seen.update(zip(np.asarray(ns, dtype=float).tolist(), p1))
+        def recording(topology, T):
+            objective = counting._one_photon_objective(topology, T)
+
+            def p1(ns):
+                values = objective(ns)
+                seen.update(zip(np.asarray(ns, dtype=float).tolist(), values))
+                return values
+
             return p1
 
-        monkeypatch.setattr(sweeps, "one_photon_probability", recording)
+        monkeypatch.setattr(sweeps, "_one_photon_objective", recording)
         for topology, T in [(ps.TwoLine(a=0.01), 0.1), (ps.TwoLine(a=0.3), 0.5),
                             (ps.TwoLine(a=1.0), 5.0), (ps.SingleLine(), 0.1)]:
             seen.clear()
             best = ps.maximize_p1(topology, T)
             assert abs(best.stats.p1 - seen[best.n_star]) <= 1e-9
+
+    # (a, T, n_star, stats.p1, stats.cutoff_k, at_boundary) across the fig5
+    # domain (a = None: single line), bit for bit; the golden CSVs keep 12 digits
+    PINNED = [
+        (0.005, 0.05, '0x1.353e5d4b3238cp+13', '0x1.fa4ceabf4502cp-1', 4, False),
+        (0.01, 0.1, '0x1.360fe4c6276dcp+11', '0x1.f4ba89be03c6bp-1', 6, False),
+        (0.02, 5.0, '0x1.01ae2759f1ec0p+5', '0x1.402a2d67cb077p-1', 8, False),
+        (0.05, 0.3, '0x1.4fad50914498cp+7', '0x1.d6d2f975fb11cp-1', 6, False),
+        (0.1, 0.5, '0x1.9b9086ae71ec9p+5', '0x1.b89f10fe35a77p-1', 6, False),
+        (0.3, 1.5, '0x1.b140a1795d68cp+2', '0x1.5bf7e3b4685a4p-1', 6, False),
+        (0.5, 5.0, '0x1.7ad33f5d7c49fp+0', '0x1.eeeac10ea6201p-2', 8, True),
+        (0.7, 0.08, '0x1.68f256408cb1ep+5', '0x1.2c45512185a42p-1', 4, False),
+        (1.0, 2.0, '0x1.d9880f34db5c6p+0', '0x1.e8fedc382efc1p-2', 6, True),
+        (None, 0.1, '0x1.92cffa47ebea6p+5', '0x1.fffe85dc98d7ep-2', 4, False),
+    ]
+
+    @pytest.mark.parametrize("a, T, n_star, p1, cutoff_k, at_boundary", PINNED)
+    def test_maximizer_is_pinned_bit_for_bit(self, a, T, n_star, p1, cutoff_k, at_boundary):
+        best = ps.maximize_p1(ps.SingleLine() if a is None else ps.TwoLine(a=a), T)
+        assert (best.n_star.hex(), best.stats.p1.hex()) == (n_star, p1)
+        assert (best.stats.cutoff_k, best.at_boundary) == (cutoff_k, at_boundary)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ps.maximize_p1(ps.TwoLine(a=0.1), 0.5, k=0),
+        lambda: ps.sweep_two_line(a_grid=[0.1, 0.2], T_grid=[0.5, 1.0], k=0),
+        lambda: ps.sweep_single_line(T_grid=[0.5], N_grid=[1.0, 2.0], k=0),
+        lambda: ps.sweep_two_line_slices([0.1], T=0.5, points=3, k=0),
+    ], ids=["maximize_p1", "sweep_two_line", "sweep_single_line", "sweep_two_line_slices"])
+    def test_bad_cutoff_rejected_before_any_work(self, call, kernel_calls):
+        with pytest.raises(SpecError, match=r"^cutoff k must be an integer >= 1, got k=0$"):
+            call()
+        assert kernel_calls == []
 
     def test_maximum_dominates_scan(self):
         best = ps.maximize_p1(ps.SingleLine(), T=0.1)
