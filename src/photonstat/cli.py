@@ -20,26 +20,21 @@ import numpy as np
 
 from .counting import MAX_CUTOFF, photon_statistics, verify_dual
 from .errors import ConfigError, NumericalError
-from .liouville import (
-    EXCITED,
-    GROUND,
-    DriveSpec,
-    SampledPulse,
-    SingleLine,
-    SquarePulse,
-    TwoLine,
-)
-from .sweeps import (
-    DEFAULT_N_GRID,
-    DEFAULT_T_GRID,
-    _run_points,
-    sweep_single_line,
-    sweep_two_line,
-    sweep_two_line_slices,
-)
+from .liouville import EXCITED, GROUND, DriveSpec, SampledPulse, SingleLine, SquarePulse, TwoLine
+from .sweeps import _run_points, sweep_single_line, sweep_two_line, sweep_two_line_slices
 from .trajectories import sample_trajectory_range
 
 __all__ = ["RunConfig", "main"]
+
+# Allowed values of the enumerated config keys, in the order the parser lists them.
+_CHOICES = {
+    "topology": ("single", "two"),
+    "pulse": ("square", "sampled"),
+    "initial": ("ground", "excited"),
+    "method": ("moments", "counting", "trajectories", "all"),
+    "format": ("csv", "json"),
+    "preset": ("fig2", "fig3", "fig4", "fig5", "custom"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,23 +72,18 @@ class RunConfig:
                 raise ConfigError(f"unknown config key: {key!r}")
             if not _has_type(value, hints[key]):
                 raise ConfigError(f"config key {key!r} must be {names[key]}, got {value!r}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
+
+    def __post_init__(self):
+        self.validate()
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def validate(self) -> None:
-        def expect(name, value, allowed):
-            if value not in allowed:
+        for name, allowed in _CHOICES.items():
+            if name != "preset" and (value := getattr(self, name)) not in allowed:
                 raise ConfigError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
-
-        expect("topology", self.topology, {"single", "two"})
-        expect("pulse", self.pulse, {"square", "sampled"})
-        expect("initial", self.initial, {"ground", "excited"})
-        expect("method", self.method, {"moments", "counting", "trajectories", "all"})
-        expect("format", self.format, {"csv", "json"})
         if self.topology == "two" and self.a is None:
             raise ConfigError("coupling ratio a is required for the two-line topology")
         if self.k is not None and self.k < 1:
@@ -105,24 +95,12 @@ class RunConfig:
         for name in ("t_grid", "n_grid", "a_grid"):
             if (grid := getattr(self, name)) is not None and len(grid) == 0:
                 raise ConfigError(f"{name} must not be empty")
+        if (self.preset or "custom") not in (presets := _CHOICES["preset"]):
+            raise ConfigError(f"unknown preset {self.preset!r}; "
+                              f"use {', '.join(presets[:-1])} or {presets[-1]}")
 
     def drive_spec(self) -> DriveSpec:
-        if self.pulse == "sampled":
-            pairs = all(isinstance(s, list) and len(s) == 2
-                        and all(_has_type(v, float) for v in s) for s in self.samples or [])
-            if not self.samples or not pairs:
-                raise ConfigError("sampled pulse requires a 'samples' list of [t, flux] pairs, "
-                                  f"got {self.samples!r}")
-            times = [s[0] for s in self.samples]
-            values = [s[1] for s in self.samples]
-            pulse = SampledPulse(tuple(times), tuple(values))
-        else:
-            pulse = SquarePulse(T=self.T, N=self.N)
-        if self.topology == "two":
-            topo = TwoLine(a=self.a, delta=self.delta)
-        else:
-            topo = SingleLine(delta=self.delta)
-        return DriveSpec(pulse, topo, t_end=self.window)
+        return DriveSpec(_build("pulse", self), _build("topology", self), t_end=self.window)
 
     def initial_density(self):
         return EXCITED if self.initial == "excited" else GROUND
@@ -142,6 +120,62 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, allowed)
 
 
+def _sampled_pulse(samples) -> SampledPulse:
+    pairs = all(isinstance(s, list) and len(s) == 2
+                and all(_has_type(v, float) for v in s) for s in samples or [])
+    if not samples or not pairs:
+        raise ConfigError("sampled pulse requires a 'samples' list of [t, flux] pairs, "
+                          f"got {samples!r}")
+    return SampledPulse(tuple(s[0] for s in samples), tuple(s[1] for s in samples))
+
+
+def _custom_sweep(config: RunConfig, **shared):
+    if config.t_grid is None and config.n_grid is None:
+        raise ConfigError("custom sweep needs t_grid/n_grid or a_grid")
+    return sweep_single_line(T_grid=config.t_grid, N_grid=config.n_grid, **shared)
+
+
+# What each topology, pulse and sweep preset reads and builds from the config.
+# A key governs the inputs that any of its entries reads; an input set
+# explicitly that the selected entry does not read is an error. A custom
+# sweep with an a-grid is an entry of its own: it maximizes P1 over N, so it
+# reads no N-grid. A preset's sweep also takes k, delta and the workers.
+_READS = {
+    "topology": {
+        "single": ((), lambda c: SingleLine(delta=c.delta)),
+        "two": (("a",), lambda c: TwoLine(a=c.a, delta=c.delta)),
+    },
+    "pulse": {
+        "square": (("T", "N"), lambda c: SquarePulse(T=c.T, N=c.N)),
+        "sampled": (("samples",), lambda c: _sampled_pulse(c.samples)),
+    },
+    "preset": {
+        "fig2": ((), lambda c, **kw: sweep_single_line(**kw)),
+        "fig3": (("T",), lambda c, **kw: sweep_single_line(T_grid=[c.T], **kw)),
+        "fig4": (("T",), lambda c, **kw: sweep_two_line_slices([0.01, 0.5], T=c.T, **kw)),
+        "fig5": ((), lambda c, **kw: sweep_two_line(**kw)),
+        "custom": (("t_grid", "n_grid"), _custom_sweep),
+        "custom a_grid": (("t_grid", "a_grid"),
+                          lambda c, **kw: sweep_two_line(a_grid=c.a_grid, T_grid=c.t_grid, **kw)),
+    },
+}
+
+
+def _selected(key: str, data: dict) -> tuple:
+    """The value that ``data`` gives ``key`` (or its default; no preset is a
+    custom sweep) and the :data:`_READS` entry it selects, None if unknown."""
+    value = data.get(key) or getattr(RunConfig, key) or "custom"
+    if not isinstance(value, str):
+        return value, None  # from_dict names the wrong type
+    a_grid = key == "preset" and value == "custom" and data.get("a_grid") is not None
+    return value, _READS[key].get(value + " a_grid" if a_grid else value)
+
+
+def _build(key: str, config: RunConfig, **shared):
+    """What the entry that ``config`` selects for ``key`` builds."""
+    return _selected(key, vars(config))[1][1](config, **shared)
+
+
 # ---------------------------------------------------------------------------
 # Output formatting
 
@@ -153,12 +187,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[list]) -> None:
+def _emit(config: RunConfig, columns: list[tuple[str, list]]) -> None:
+    """Write named columns of equal length as a CSV table or JSON rows."""
+    header = [name for name, _ in columns]
+    rows = list(zip(*(values for _, values in columns)))
     if config.format == "json":
-        payload = {
-            "config": config.to_dict(),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
+        payload = {"config": config.to_dict(), "rows": [dict(zip(header, r)) for r in rows]}
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
@@ -195,95 +229,43 @@ def _run_trajectories(config: RunConfig, spec: DriveSpec) -> np.ndarray:
 def cmd_simulate(config: RunConfig) -> int:
     spec = config.drive_spec()
     rho0 = config.initial_density()
-    want = {config.method} if config.method != "all" else {"moments", "counting", "trajectories"}
-
     stats_m = stats_c = hist = None
-    if "moments" in want:
+    if config.method in ("moments", "all"):
         stats_m = photon_statistics(spec, "moment-inversion", k=config.k, rho0=rho0)
-    if "counting" in want:
+    if config.method in ("counting", "all"):
         stats_c = (verify_dual(spec, stats_m, rho0) if stats_m is not None
                    else photon_statistics(spec, "jump-counting", k=config.k, rho0=rho0))
-    if "trajectories" in want:
+    if config.method in ("trajectories", "all"):
         hist = _run_trajectories(config, spec)
 
-    header = ["n"]
+    stats = [s for s in (stats_m, stats_c) if s is not None]
+    ns = range(max([len(s.probabilities) for s in stats] + [0 if hist is None else len(hist)]))
+    columns = [("n", list(ns))]
     if stats_m is not None:
-        header += ["binomial_moment", "p_moment_inversion"]
+        columns += [("binomial_moment", [1.0 if n == 0 else _entry(stats_m.moments, n - 1)
+                                         for n in ns]),
+                    ("p_moment_inversion", [_entry(stats_m.probabilities, n) for n in ns])]
     if stats_c is not None:
-        header += ["p_jump_counting"]
+        columns.append(("p_jump_counting", [_entry(stats_c.probabilities, n) for n in ns]))
     if hist is not None:
-        header += ["p_trajectory", "p_trajectory_stderr"]
-    header += ["tail_bound"]
-
-    n_rows = max(len(s.probabilities) for s in (stats_m, stats_c) if s is not None) \
-        if (stats_m or stats_c) else 0
-    if hist is not None:
-        n_rows = max(n_rows, len(hist))
-    tail = (stats_m or stats_c).tail_bound if (stats_m or stats_c) else None
-
-    rows = []
-    for n in range(n_rows):
-        row: list = [n]
-        if stats_m is not None:
-            moment = 1.0 if n == 0 else _entry(stats_m.moments, n - 1)
-            row += [moment, _entry(stats_m.probabilities, n)]
-        if stats_c is not None:
-            row += [_entry(stats_c.probabilities, n)]
-        if hist is not None:
-            p_hat = _entry(hist, n, 1.0 / config.n_traj) or 0.0
-            row += [p_hat, math.sqrt(max(p_hat * (1 - p_hat), 0.0) / config.n_traj)]
-        row += [tail]
-        rows.append(row)
-
-    _emit(config, header, rows)
+        p_hat = [_entry(hist, n, 1.0 / config.n_traj) or 0.0 for n in ns]
+        columns += [("p_trajectory", p_hat),
+                    ("p_trajectory_stderr",
+                     [math.sqrt(max(p * (1 - p), 0.0) / config.n_traj) for p in p_hat])]
+    columns.append(("tail_bound", [stats[0].tail_bound if stats else None] * len(ns)))
+    _emit(config, columns)
     return 0
 
 
-_SWEEP_HEADER = ["T", "N", "a", "P0", "P1", "P2", "P3", "N1", "N2", "tail_bound"]
-
-
-def _sweep_rows(result) -> list[list]:
-    rows = []
-    for rec in result.records:
-        p = rec.stats.probabilities
-        m = rec.stats.moments
-        rows.append([
-            rec.T, rec.N, rec.a,
-            _entry(p, 0), _entry(p, 1), _entry(p, 2), _entry(p, 3),
-            _entry(m, 0), _entry(m, 1), rec.stats.tail_bound,
-        ])
-    return rows
-
-
 def cmd_sweep(config: RunConfig) -> int:
-    preset = config.preset or "custom"
-    workers = config.threads
-    if preset == "fig2":
-        result = sweep_single_line(k=config.k, delta=config.delta, workers=workers)
-    elif preset == "fig3":
-        result = sweep_single_line(T_grid=[config.T], N_grid=DEFAULT_N_GRID,
-                                   k=config.k, delta=config.delta, workers=workers)
-    elif preset == "fig4":
-        result = sweep_two_line_slices([0.01, 0.5], T=config.T, k=config.k,
-                                       delta=config.delta, workers=workers)
-    elif preset == "fig5":
-        result = sweep_two_line(k=config.k, delta=config.delta, workers=workers)
-    elif preset == "custom":
-        t_grid = DEFAULT_T_GRID if config.t_grid is None else config.t_grid
-        if config.a_grid is not None:
-            result = sweep_two_line(a_grid=config.a_grid, T_grid=t_grid,
-                                    k=config.k, delta=config.delta, workers=workers)
-        elif config.t_grid is not None or config.n_grid is not None:
-            result = sweep_single_line(T_grid=t_grid,
-                                       N_grid=DEFAULT_N_GRID if config.n_grid is None
-                                       else config.n_grid,
-                                       k=config.k, delta=config.delta, workers=workers)
-        else:
-            raise ConfigError("custom sweep needs t_grid/n_grid or a_grid")
-    else:
-        raise ConfigError(f"unknown preset {config.preset!r}; "
-                          "use fig2, fig3, fig4, fig5 or custom")
-    _emit(config, _SWEEP_HEADER, _sweep_rows(result))
+    records = _build("preset", config, k=config.k, delta=config.delta,
+                     workers=config.threads).records
+    stats = [r.stats for r in records]
+    columns = [(name, [getattr(r, name) for r in records]) for name in ("T", "N", "a")]
+    columns += [(f"P{n}", [_entry(s.probabilities, n) for s in stats]) for n in range(4)]
+    columns += [(f"N{n + 1}", [_entry(s.moments, n) for s in stats]) for n in range(2)]
+    columns.append(("tail_bound", [s.tail_bound for s in stats]))
+    _emit(config, columns)
     return 0
 
 
@@ -294,8 +276,8 @@ def cmd_traj(config: RunConfig) -> int:
     p_hat = hist / n_traj
     stderr = np.sqrt(p_hat * (1 - p_hat) / n_traj)
 
-    header = ["n", "count", "p_hat", "stderr"]
-    ref = None
+    columns = [("n", list(range(len(hist)))), ("count", hist.tolist()),
+               ("p_hat", p_hat.tolist()), ("stderr", stderr.tolist())]
     if config.compare:
         rho0 = config.initial_density()
         stats = photon_statistics(spec, "jump-counting", k=config.k, rho0=rho0)
@@ -304,20 +286,13 @@ def cmd_traj(config: RunConfig) -> int:
         widest = min(len(hist) - 1, MAX_CUTOFF)
         if config.k is None and widest > stats.cutoff_k:
             stats = photon_statistics(spec, "jump-counting", k=widest, rho0=rho0)
-        ref = stats.probabilities
-        header += ["p_counting", "z"]
-    header += ["seed"]
-
-    rows = []
-    for n in range(len(hist)):
-        row: list = [n, int(hist[n]), float(p_hat[n]), float(stderr[n])]
-        if ref is not None:
-            p_ref = float(ref[n]) if n < len(ref) else 0.0
-            se = math.sqrt(max(p_ref * (1 - p_ref), 1e-12) / n_traj)
-            row += [p_ref, (float(p_hat[n]) - p_ref) / se]
-        row += [config.seed]
-        rows.append(row)
-    _emit(config, header, rows)
+        ref = [float(stats.probabilities[n]) if n < len(stats.probabilities) else 0.0
+               for n in range(len(hist))]
+        columns += [("p_counting", ref),
+                    ("z", [(p - r) / math.sqrt(max(r * (1 - r), 1e-12) / n_traj)
+                           for p, r in zip(p_hat.tolist(), ref)])]
+    columns.append(("seed", [config.seed] * len(hist)))
+    _emit(config, columns)
     return 0
 
 
@@ -349,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file with flat config keys")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--format", choices=_CHOICES["format"])
         p.add_argument("--threads", type=int)
         p.add_argument("--T", type=float, help="pulse width (relaxation times)")
         p.add_argument("--delta", type=float, help="detuning")
@@ -358,24 +333,24 @@ def _build_parser() -> argparse.ArgumentParser:
     def one_drive(p):
         common(p)
         p.add_argument("--seed", type=int)
-        p.add_argument("--topology", choices=["single", "two"])
-        p.add_argument("--pulse", choices=["square", "sampled"])
+        p.add_argument("--topology", choices=_CHOICES["topology"])
+        p.add_argument("--pulse", choices=_CHOICES["pulse"])
         p.add_argument("--N", type=float, help="mean photon number in the pulse")
         p.add_argument("--a", type=float, help="two-line coupling ratio")
         p.add_argument("--window", type=float, help="counting window override")
-        p.add_argument("--initial", choices=["ground", "excited"])
+        p.add_argument("--initial", choices=_CHOICES["initial"])
         # a sampled envelope has no flag; it is read from the config file only
         p.set_defaults(samples=None)
 
     sim = sub.add_parser("simulate", help="count statistics for one drive")
     one_drive(sim)
-    sim.add_argument("--method", choices=["moments", "counting", "trajectories", "all"])
+    sim.add_argument("--method", choices=_CHOICES["method"])
     sim.add_argument("--n-traj", type=int, dest="n_traj")
 
     # no prefix matching, which would read --N and --a as --N-grid and --a-grid
     swp = sub.add_parser("sweep", help="parameter sweeps", allow_abbrev=False)
     common(swp)
-    swp.add_argument("--preset", choices=["fig2", "fig3", "fig4", "fig5", "custom"])
+    swp.add_argument("--preset", choices=_CHOICES["preset"])
     swp.add_argument("--T-grid", dest="t_grid", help="'a,b,c' or 'lo:hi:count[:log]'")
     swp.add_argument("--N-grid", dest="n_grid", help="'a,b,c' or 'lo:hi:count[:log]'")
     swp.add_argument("--a-grid", dest="a_grid", help="'a,b,c' or 'lo:hi:count[:log]'")
@@ -389,26 +364,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Sweep inputs each preset reads; setting another one is an error. A
-# custom sweep with an a-grid maximizes over N, so it reads no N-grid.
-_SWEEP_INPUTS = ("T", "t_grid", "n_grid", "a_grid")
-_PRESET_READS = {"fig2": (), "fig3": ("T",), "fig4": ("T",), "fig5": (),
-                 "custom": ("t_grid", "n_grid", "a_grid")}
-
-
-def _check_sweep_inputs(data: dict) -> None:
-    preset = data.get("preset") or "custom"
-    reads = _PRESET_READS.get(preset)
-    if reads is None:
-        return  # cmd_sweep names the unknown preset
-    if preset == "custom" and data.get("a_grid") is not None:
-        reads = ("t_grid", "a_grid")
-    for key in _SWEEP_INPUTS:
-        if data.get(key) is not None and key not in reads:
-            raise ConfigError(f"sweep preset {preset!r} does not read {key!r}")
-
-
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+def _check_reads(ns: argparse.Namespace, data: dict) -> None:
+    """Reject an input set in ``data`` that the selected entry of one of the
+    command's :data:`_READS` keys does not read."""
+    for key, entries in _READS.items():
+        value, entry = _selected(key, data) if key in vars(ns) else (None, None)
+        if entry is None:
+            continue  # a key the command lacks, or a value that from_dict rejects
+        governed = {name for reads, _ in entries.values() for name in reads}
+        for name in _CONFIG_KEYS:
+            if name in governed - set(entry[0]) and data.get(name) is not None:
+                raise ConfigError(f"{ns.command} {key} {value!r} does not read {name!r}")
 
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
@@ -434,8 +403,7 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
                 data[name] = _parse_grid(value)
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-    if ns.command == "sweep":
-        _check_sweep_inputs(data)
+    _check_reads(ns, data)
     return RunConfig.from_dict(data)
 
 

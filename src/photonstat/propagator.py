@@ -41,13 +41,18 @@ import numpy as np
 
 from .errors import ConvergenceError, SpecError
 from .liouville import (
+    _DECAY,
+    _DRIVE,
+    _JUMP_SINGLE,
+    _JUMP_TWO,
+    _PRECESSION,
     DriveSpec,
     Topology,
-    _monitored_jump,
+    TwoLine,
     devectorize,
     drive_coefficient,
     drive_intervals,
-    liouvillian_parts,
+    total_decay_rate,
     vectorize,
 )
 
@@ -104,19 +109,31 @@ def _restore(rho: np.ndarray) -> np.ndarray:
 
 
 def _real(op: np.ndarray) -> np.ndarray:
-    """A Hermiticity-preserving superoperator, or a stack of them, in r as float64."""
-    return (_TO_R @ op @ _FROM_R).real
+    """A Hermiticity-preserving superoperator, or a stack of them, in r as
+    read-only float64."""
+    real = (_TO_R @ op @ _FROM_R).real
+    real.setflags(write=False)
+    return real
+
+
+# The superoperators that every generator, drive term and monitored jump of
+# the model is made of, in r.
+_R_PRECESSION, _R_DECAY, _R_DRIVE, _R_JUMP_SINGLE, _R_JUMP_TWO = (
+    _real(op) for op in (_PRECESSION, _DECAY, _DRIVE, _JUMP_SINGLE, _JUMP_TWO))
 
 
 @lru_cache(maxsize=64)
 def real_parts(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two :func:`liouvillian_parts` of ``topology`` and its monitored
-    jump superoperator, in r (read-only float64)."""
-    static, drive = liouvillian_parts(topology)
-    parts = tuple(_real(op) for op in (static, drive, _monitored_jump(topology)))
-    for op in parts:
-        op.setflags(write=False)
-    return parts
+    """The two :func:`photonstat.liouville.liouvillian_parts` of ``topology``
+    and its monitored jump superoperator, in r (read-only float64).
+
+    Formed from the parts converted once at import: bit for bit the
+    conversion of each operator, since the change of basis is linear and
+    exact on these operators' entries.
+    """
+    static = -0.5 * topology.delta * _R_PRECESSION + total_decay_rate(topology) * _R_DECAY
+    static.setflags(write=False)
+    return static, _R_DRIVE, _R_JUMP_TWO if isinstance(topology, TwoLine) else _R_JUMP_SINGLE
 
 
 def _rebase(u: np.ndarray, y: np.ndarray) -> np.ndarray:

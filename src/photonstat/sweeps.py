@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -219,6 +218,9 @@ def _run_points(worker, points, workers: int) -> tuple:
     picklable when ``workers > 1``.
     """
     if workers > 1:
+        # imported here: the pool's modules add ~20 ms to every package import
+        from concurrent.futures import ProcessPoolExecutor
+
         # about 8 tasks per worker or more, so that rows of uneven cost balance
         chunk = max(1, min(8, len(points) // (8 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:

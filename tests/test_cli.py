@@ -1,9 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from photonstat import counting
+import photonstat as ps
+from photonstat import cli, counting
 from photonstat.cli import RunConfig, main
 from photonstat.errors import ConfigError
 
@@ -32,6 +35,8 @@ class TestRunConfig:
     def test_enumerations_validated(self):
         with pytest.raises(ConfigError, match="method"):
             RunConfig.from_dict({"method": "magic"})
+        with pytest.raises(ConfigError, match="topology must be one of"):
+            RunConfig(topology="three")
 
     @pytest.mark.parametrize("data, key", [
         ({"seed": True}, "'seed'"),
@@ -41,6 +46,13 @@ class TestRunConfig:
     def test_bool_and_float_rejected_for_other_types(self, data, key):
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_dict(data)
+
+    def test_every_choice_has_one_table_entry(self):
+        # the entries of custom's a-grid form aside, the choices that read
+        # and build are exactly the allowed values
+        for key, entries in cli._READS.items():
+            assert tuple(name for name in entries if name != "custom a_grid") == \
+                cli._CHOICES[key]
 
     def test_int_accepted_for_float_field(self):
         assert RunConfig.from_dict({"T": 1, "window": 20}).T == 1
@@ -133,6 +145,10 @@ class TestSimulate:
         ({"n_traj": "5"}, "'n_traj'"),
         ({"k": 2.5}, "'k'"),
         ({"pulse": "sampled", "samples": [[0, 1], [1]]}, "'samples'"),
+        ({"k": 0}, "cutoff k must be >= 1, got 0"),
+        ({"n_traj": 0}, "n_traj must be >= 1, got 0"),
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ([{"T": 0.1}], "config file must hold a JSON object"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, data, key):
         cfg = tmp_path / "cfg.json"
@@ -140,6 +156,46 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_sampled_envelope_from_config(self, tmp_path):
+        samples = [[0.0, 0.0], [0.5, 40.0], [1.0, 0.0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pulse": "sampled", "samples": samples,
+                                   "method": "moments"}))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        pulse = ps.SampledPulse(tuple(t for t, _ in samples), tuple(f for _, f in samples))
+        stats = ps.photon_statistics(ps.DriveSpec(pulse), "moment-inversion")
+        col = header.index("p_moment_inversion")
+        assert [r[col] for r in rows] == [format(p, ".12g") for p in stats.probabilities]
+
+    # a drive input is read by one topology or pulse only; setting it for
+    # the other is rejected, from a flag or from the config file alike
+    @pytest.mark.parametrize("command, data, flags, message", [
+        ("simulate", {}, ["--a", "0.5", "--T", "0.1", "--N", "49.35"],
+         "simulate topology 'single' does not read 'a'"),
+        ("simulate", {"pulse": "sampled", "samples": [[0, 0], [1, 9]], "T": 0.2}, [],
+         "simulate pulse 'sampled' does not read 'T'"),
+        ("traj", {"pulse": "sampled", "samples": [[0, 0], [1, 9]]}, ["--N", "3"],
+         "traj pulse 'sampled' does not read 'N'"),
+        ("simulate", {"pulse": "square", "samples": [[0, 0], [1, 9]]}, [],
+         "simulate pulse 'square' does not read 'samples'"),
+    ])
+    def test_drive_inputs_the_drive_ignores_exit_2(self, tmp_path, capsys, command, data,
+                                                   flags, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_stdout_matches_the_out_file(self, tmp_path, capsys):
+        args = ["simulate", "--T", "0.2", "--N", "3", "--method", "moments"]
+        out = tmp_path / "run.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_excited_initial_state(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -188,6 +244,31 @@ class TestSweep:
         assert raw.endswith(b"\n")
         assert raw.startswith(b"T,N,a,")
 
+    def test_fig4_slices(self, tmp_path):
+        out = tmp_path / "fig4.csv"
+        assert main(["sweep", "--preset", "fig4", "--T", "0.5", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 240
+        assert {r[header.index("a")] for r in rows} == {"0.01", "0.5"}
+        assert {r[header.index("T")] for r in rows} == {"0.5"}
+
+    @pytest.mark.parametrize("preset, sweep", [("fig2", "sweep_single_line"),
+                                               ("fig5", "sweep_two_line")])
+    def test_preset_runs_its_default_sweep(self, monkeypatch, preset, sweep):
+        calls = []
+        monkeypatch.setattr(cli, sweep, lambda *args, **kwargs:
+                            calls.append((args, kwargs)) or SimpleNamespace(records=()))
+        assert main(["sweep", "--preset", preset, "--k", "6", "--delta", "0.5",
+                     "--threads", "2"]) == 0
+        assert calls == [((), {"k": 6, "delta": 0.5, "workers": 2})]
+
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig9"}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'fig9'; use fig2, fig3, fig4, fig5 or custom\n")
+
     def test_custom_needs_grid(self, capsys):
         rc = main(["sweep", "--preset", "custom"])
         assert rc == 2
@@ -230,6 +311,12 @@ class TestSweep:
         cfg.write_text(json.dumps({"preset": "fig3", "n_grid": [1.0]}))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "does not read 'n_grid'" in capsys.readouterr().err
+
+    def test_preset_of_the_wrong_type_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": ["fig2"]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "config key 'preset' must be str | None" in capsys.readouterr().err
 
     def test_single_drive_config_keys_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -312,6 +399,27 @@ class TestTraj:
         assert rc == 0
         header, rows = read_csv(out)
         assert sum(int(r[1]) for r in rows) == 200
+
+    def test_compare_reference_covers_the_widest_bin(self, tmp_path, monkeypatch):
+        # an adaptive reference that stops below the widest observed bin is
+        # computed again with the cutoff at that bin
+        calls = []
+
+        def short_adaptive(spec, method, k=None, rho0=None):
+            calls.append(k)
+            stats = counting.photon_statistics(spec, method, k=k, rho0=rho0)
+            return stats if k else dataclasses.replace(stats, cutoff_k=1)
+
+        monkeypatch.setattr(cli, "photon_statistics", short_adaptive)
+        out = tmp_path / "c.csv"
+        assert main(["traj", "--T", "2", "--N", "20", "--n-traj", "2000",
+                     "--seed", "5", "--compare", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert calls == [None, len(rows) - 1] and len(rows) > 2
+        spec = ps.DriveSpec(ps.SquarePulse(T=2.0, N=20.0))
+        ref = counting.photon_statistics(spec, "jump-counting", k=len(rows) - 1)
+        col = header.index("p_counting")
+        assert [r[col] for r in rows] == [format(p, ".12g") for p in ref.probabilities]
 
     def test_negative_seed_exits_2(self, capsys):
         rc = main(["traj", "--T", "0.1", "--N", "1", "--n-traj", "10", "--seed", "-3"])

@@ -76,6 +76,15 @@ def test_package_import_leaves_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_import_leaves_out_the_process_pool():
+    # a pool is imported only by a run with more than one worker
+    code = ("import sys, photonstat.cli; print(sorted(m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestBinomialMoments:
     def test_vacuum_input_gives_zero_moments(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=0.0))

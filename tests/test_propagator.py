@@ -270,6 +270,20 @@ class TestRealCoordinates:
         assert np.max(np.abs(_FROM_R @ _real(gen) @ _TO_R - gen)) <= 1e-15
         assert np.array_equal(_TO_R @ _FROM_R, np.eye(4))
 
+    def test_parts_are_the_conversion_of_each_operator_bit_for_bit(self):
+        # real_parts combines parts converted once; the result must be the
+        # conversion of the topology's own operators, sign bits included
+        rng = np.random.default_rng(39)
+        scales = 10 ** rng.uniform(-6, 4, 300)
+        deltas = [0.0, -0.0, 5e-324, -1e300, *(rng.normal(size=300) * scales)]
+        for delta in deltas:
+            for topology in (ps.SingleLine(delta=delta),
+                             ps.TwoLine(a=float(rng.uniform(1e-9, 1.0)), delta=delta)):
+                static, drive = ps.liouville.liouvillian_parts(topology)
+                jump = ps.liouville._monitored_jump(topology)
+                for real, op in zip(real_parts.__wrapped__(topology), (static, drive, jump)):
+                    assert real.tobytes() == _real(op).tobytes() and not real.flags.writeable
+
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_non_hermitian_states_propagate_exactly(self, topology):
         # advance works in r but takes and returns column-stacked states of
