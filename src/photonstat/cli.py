@@ -187,12 +187,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, columns: list[tuple[str, list]]) -> None:
-    """Write named columns of equal length as a CSV table or JSON rows."""
+def _emit(config: RunConfig, columns: list[tuple[str, list]], reads) -> None:
+    """Write named columns of equal length as a CSV table or JSON rows.
+
+    The JSON config echo holds the keys in ``reads``, the command's keys,
+    less the inputs that the selected topology, pulse or preset does not
+    read, so that it reruns as a ``--config`` file.
+    """
     header = [name for name, _ in columns]
     rows = list(zip(*(values for _, values in columns)))
     if config.format == "json":
-        payload = {"config": config.to_dict(), "rows": [dict(zip(header, r)) for r in rows]}
+        unread = _unread(reads, vars(config))
+        echo = {name: value for name, value in config.to_dict().items()
+                if name in reads and name not in unread}
+        payload = {"config": echo, "rows": [dict(zip(header, r)) for r in rows]}
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
@@ -226,7 +234,7 @@ def _run_trajectories(config: RunConfig, spec: DriveSpec) -> np.ndarray:
     return hist
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig) -> list[tuple[str, list]]:
     spec = config.drive_spec()
     rho0 = config.initial_density()
     stats_m = stats_c = hist = None
@@ -253,11 +261,10 @@ def cmd_simulate(config: RunConfig) -> int:
                     ("p_trajectory_stderr",
                      [math.sqrt(max(p * (1 - p), 0.0) / config.n_traj) for p in p_hat])]
     columns.append(("tail_bound", [stats[0].tail_bound if stats else None] * len(ns)))
-    _emit(config, columns)
-    return 0
+    return columns
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: RunConfig) -> list[tuple[str, list]]:
     records = _build("preset", config, k=config.k, delta=config.delta,
                      workers=config.threads).records
     stats = [r.stats for r in records]
@@ -265,11 +272,10 @@ def cmd_sweep(config: RunConfig) -> int:
     columns += [(f"P{n}", [_entry(s.probabilities, n) for s in stats]) for n in range(4)]
     columns += [(f"N{n + 1}", [_entry(s.moments, n) for s in stats]) for n in range(2)]
     columns.append(("tail_bound", [s.tail_bound for s in stats]))
-    _emit(config, columns)
-    return 0
+    return columns
 
 
-def cmd_traj(config: RunConfig) -> int:
+def cmd_traj(config: RunConfig) -> list[tuple[str, list]]:
     spec = config.drive_spec()
     hist = _run_trajectories(config, spec)
     n_traj = config.n_traj
@@ -292,8 +298,7 @@ def cmd_traj(config: RunConfig) -> int:
                     ("z", [(p - r) / math.sqrt(max(r * (1 - r), 1e-12) / n_traj)
                            for p, r in zip(p_hat.tolist(), ref)])]
     columns.append(("seed", [config.seed] * len(hist)))
-    _emit(config, columns)
-    return 0
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +372,28 @@ def _build_parser() -> argparse.ArgumentParser:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-def _check_reads(ns: argparse.Namespace, data: dict) -> None:
-    """Reject an input set in ``data`` that the selected entry of one of the
-    command's :data:`_READS` keys does not read."""
+def _unread(keys, data: dict) -> dict[str, tuple]:
+    """The inputs that the entries ``data`` selects for the :data:`_READS`
+    keys among ``keys`` do not read, each mapped to ``(key, value)`` of its
+    selection, in key order."""
+    unread = {}
     for key, entries in _READS.items():
-        value, entry = _selected(key, data) if key in vars(ns) else (None, None)
+        value, entry = _selected(key, data) if key in keys else (None, None)
         if entry is None:
             continue  # a key the command lacks, or a value that from_dict rejects
         governed = {name for reads, _ in entries.values() for name in reads}
         for name in _CONFIG_KEYS:
-            if name in governed - set(entry[0]) and data.get(name) is not None:
-                raise ConfigError(f"{ns.command} {key} {value!r} does not read {name!r}")
+            if name in governed - set(entry[0]):
+                unread.setdefault(name, (key, value))
+    return unread
+
+
+def _check_reads(ns: argparse.Namespace, data: dict) -> None:
+    """Reject an input set in ``data`` that the selected entry of one of the
+    command's :data:`_READS` keys does not read."""
+    for name, (key, value) in _unread(vars(ns), data).items():
+        if data.get(name) is not None:
+            raise ConfigError(f"{ns.command} {key} {value!r} does not read {name!r}")
 
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
@@ -413,7 +429,8 @@ def main(argv=None) -> int:
     dispatch = {"simulate": cmd_simulate, "sweep": cmd_sweep, "traj": cmd_traj}
     try:
         config = _merge_config(ns)
-        return dispatch[ns.command](config)
+        _emit(config, dispatch[ns.command](config), vars(ns))
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

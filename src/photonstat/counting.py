@@ -71,7 +71,7 @@ __all__ = [
 # Cutoff policy: raise k until the top moment N_k is below TAIL_TOLERANCE,
 # and report N_k as the tail bound. N_k does not bound the inversion's
 # truncation error in P_n: on the fig2 map that error reaches 7.1e-7 where
-# N_k < 1e-8 (ROADMAP.md, item 3). A drive whose top moment is still above
+# N_k < 1e-8 (ROADMAP.md, item 2). A drive whose top moment is still above
 # TAIL_TOLERANCE at MAX_CUTOFF raises TailError instead of inverting a
 # truncated series.
 TAIL_TOLERANCE = 1e-8
@@ -93,7 +93,7 @@ class PhotonStats:
     ``probabilities[n]`` holds P_n for n = 0..k. ``tail_bound`` is the top
     moment N_k for moment inversion and the missing mass ``1 - sum P_n``
     for jump counting. The former is not a bound on the error of the P_n
-    (ROADMAP.md, item 3).
+    (ROADMAP.md, item 2).
     """
 
     moments: np.ndarray

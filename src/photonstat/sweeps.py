@@ -215,9 +215,10 @@ def _run_points(worker, points, workers: int) -> tuple:
     """``worker(*point)`` for every point, in order, on up to ``workers`` processes.
 
     Results do not depend on ``workers``; ``worker`` and the points must be
-    picklable when ``workers > 1``.
+    picklable when ``workers > 1``. A single point runs in this process,
+    without a pool's start-up.
     """
-    if workers > 1:
+    if workers > 1 and len(points) > 1:
         # imported here: the pool's modules add ~20 ms to every package import
         from concurrent.futures import ProcessPoolExecutor
 

@@ -449,6 +449,48 @@ class TestTraj:
         assert isinstance(payload["rows"], list)
 
 
+SAMPLED = {"pulse": "sampled", "samples": [[0.0, 0.0], [0.5, 40.0], [1.0, 0.0]]}
+
+
+class TestConfigEcho:
+    """The JSON config echo reruns, as a ``--config`` file, byte for byte."""
+
+    @pytest.mark.parametrize("args, data, dropped", [
+        (["simulate", "--T", "0.3", "--N", "5", "--n-traj", "2000"], {},
+         {"a", "samples"}),
+        (["simulate", "--topology", "two", "--a", "0.3", "--initial", "excited",
+          "--method", "moments"], {}, {"samples"}),
+        (["simulate", "--method", "counting"], SAMPLED, {"a", "T", "N"}),
+        (["traj", "--T", "0.1", "--N", "49.35", "--n-traj", "500", "--seed", "3",
+          "--compare", "--threads", "2"], {}, {"a", "samples"}),
+        (["traj", "--topology", "two", "--a", "0.5", "--n-traj", "500"], SAMPLED, {"T", "N"}),
+        (["sweep", "--preset", "fig3", "--T", "0.2", "--k", "6"], {},
+         {"t_grid", "n_grid", "a_grid"}),
+        (["sweep", "--T-grid", "0.1,0.2", "--N-grid", "0:10:3"], {}, {"T", "a_grid"}),
+        (["sweep", "--a-grid", "0.3", "--T-grid", "0.1:0.2:2:log"], {}, {"T", "n_grid"}),
+    ], ids=["simulate", "simulate-two-line", "simulate-sampled", "traj", "traj-sampled",
+            "sweep-fig3", "sweep-custom", "sweep-a-grid"])
+    def test_echo_reruns_byte_identically(self, tmp_path, args, data, dropped):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "run.json"
+        assert main(args + ["--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+        first = out.read_text()
+        echo = json.loads(first)["config"]
+        assert not dropped & set(echo)
+        # the echo names the same --out, which the rerun overwrites
+        cfg.write_text(json.dumps(echo))
+        assert main([args[0], "--config", str(cfg)]) == 0
+        assert out.read_text() == first
+
+    def test_echo_holds_only_the_command_keys(self, capsys):
+        assert main(["simulate", "--T", "0.2", "--N", "3", "--method", "moments",
+                     "--format", "json"]) == 0
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert set(echo) == {"T", "N", "delta", "topology", "pulse", "window", "initial",
+                             "method", "k", "n_traj", "seed", "out", "format", "threads"}
+
+
 class TestGridFlagParsing:
     def test_linear_spec(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,10 +155,22 @@ class TestSweepSingleLine:
             assert np.array_equal(ra.stats.probabilities, rb.stats.probabilities)
 
     def test_parallel_matches_serial(self):
-        serial = ps.sweep_single_line(T_grid=[0.1], N_grid=[5.0, 20.0, 49.0])
-        parallel = ps.sweep_single_line(T_grid=[0.1], N_grid=[5.0, 20.0, 49.0], workers=2)
+        # two rows, so that the pool runs
+        serial = ps.sweep_single_line(T_grid=[0.1, 0.3], N_grid=[5.0, 20.0, 49.0])
+        parallel = ps.sweep_single_line(T_grid=[0.1, 0.3], N_grid=[5.0, 20.0, 49.0],
+                                        workers=2)
         for ra, rb in zip(serial.records, parallel.records):
             assert np.array_equal(ra.stats.probabilities, rb.stats.probabilities)
+
+    def test_one_row_runs_without_a_pool(self):
+        # a one-row sweep at two workers, like fig3, pays no pool start-up
+        code = ("import sys, photonstat as ps; "
+                "rows = ps.sweep_single_line(T_grid=[0.1], N_grid=[5.0, 20.0], workers=2); "
+                "print(len(rows.records), sorted(m for m in sys.modules "
+                "if m in ('multiprocessing', 'concurrent.futures.process')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "2 []"
 
     def test_fixed_width_slice_peaks_near_pi_pulse(self):
         n_grid = np.linspace(0.0, 120.0, 120)

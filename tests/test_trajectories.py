@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import photonstat as ps
 from photonstat import trajectories
+from photonstat.cli import main
 from photonstat.errors import SpecError
 from photonstat.trajectories import _Piece, _Streams
 
@@ -11,6 +12,7 @@ UNDRIVEN_EXCITED = ps.DriveSpec(ps.SquarePulse(T=1.0, N=0.0), t_end=20.0)
 PI_PULSE = ps.DriveSpec(ps.SquarePulse(T=0.1, N=np.pi**2 / 0.2))
 RAMP = ps.DriveSpec(ps.SampledPulse((0, .05, .15, .2), (0, 60, 60, 0)))
 STEP_EDGE = ps.DriveSpec(ps.SampledPulse((0, .1), (50, 50)))
+BUMP = ps.DriveSpec(ps.SampledPulse((0, .1, .2, .3, .4), (0, 20, 80, 20, 0)), ps.TwoLine(a=0.3))
 N_TRAJ = 20000
 
 
@@ -73,6 +75,102 @@ class TestPiecePropagator:
         assert np.all((s > 0) & (s < 0.1))
         c0, _, c1, _ = piece.matrix(s)
         assert np.max(np.abs(abs(c0) ** 2 + abs(c1) ** 2 - thr)) < 1e-12
+
+
+def ground_rows(piece, span, rng):
+    """Crossing inputs of rows that start in |g> with the given spans."""
+    c0, _, c1, _ = piece.matrix(span)
+    n_end = abs(c0) ** 2 + abs(c1) ** 2
+    g, e = np.ones(len(span), dtype=complex), np.zeros(len(span), dtype=complex)
+    return span, g, e, rng.uniform(n_end, 1.0), n_end
+
+
+def mixed_rows(piece, rng):
+    """Crossing inputs that mix rows starting in |g> with rows that do not."""
+    span, g, e, thr, n_end = ground_rows(piece, rng.uniform(0.2, 1.0, 40) * piece.length, rng)
+    other = slice(0, 40, 3)
+    g[other] = rng.uniform(0.3, 0.6, 14) * np.exp(1j * rng.uniform(0, 6, 14))
+    e[other] = np.sqrt(1 - abs(g[other]) ** 2) * 1j
+    u00, u01, u10, u11 = piece.matrix(span[other])
+    n_end[other] = (abs(u00 * g[other] + u01 * e[other]) ** 2
+                    + abs(u10 * g[other] + u11 * e[other]) ** 2)
+    thr[other] = rng.uniform(n_end[other], 1.0)
+    return span, g, e, thr, n_end
+
+
+class TestGroundStartCrossing:
+    """Rows that start in |g> take their first iterate from the piece's table."""
+
+    @pytest.mark.parametrize("h, rate", [
+        (ps.effective_hamiltonian(PI_PULSE, 0.05), 1.0),
+        (ps.effective_hamiltonian(ps.DriveSpec(ps.SquarePulse(T=1.0, N=20.0),
+                                               ps.SingleLine(delta=1.5)), 0.5), 1.0),
+        (ps.effective_hamiltonian(ps.DriveSpec(ps.SquarePulse(T=2.0, N=60.0),
+                                               ps.TwoLine(a=0.5)), 1.0), 1.5),
+        # drive amplitude R/4 on resonance: the exceptional point q = 0
+        (np.array([[0.0, 0.25], [0.25, -0.5j]]), 1.0),
+    ], ids=["pi-pulse", "detuned", "two-line", "exceptional-point"])
+    @pytest.mark.parametrize("decays", [0.005, 0.1, 1.0, 10.0, trajectories._MAX_PIECE_DECAYS])
+    def test_solves_norm_equation(self, h, rate, decays):
+        length = decays / rate
+        piece = _Piece(h, length, rate, driven=True)
+        rng = np.random.default_rng(8)
+        span, g, e, thr, n_end = ground_rows(piece, rng.uniform(0.01, 1.0, 200) * length, rng)
+        s = piece.crossing(span, g, e, thr, n_end)
+        assert np.all((s > 0) & (s <= span))
+        c0, _, c1, _ = piece.matrix(s)
+        assert np.max(np.abs(abs(c0) ** 2 + abs(c1) ** 2 - thr)) < 1e-12
+
+    def test_row_result_does_not_depend_on_its_block(self):
+        rng = np.random.default_rng(10)
+        h = ps.effective_hamiltonian(ps.DriveSpec(ps.SquarePulse(T=2.0, N=60.0)), 1.0)
+        piece = _Piece(h, 2.0, rate=1.0, driven=True)
+        rows = mixed_rows(piece, rng)
+        block = piece.crossing(*rows)
+        alone = np.array([piece.crossing(*(x[i:i + 1] for x in rows))[0]
+                          for i in range(40)])
+        order = rng.permutation(40)
+        shuffled = np.empty(40)
+        shuffled[order] = piece.crossing(*(x[order] for x in rows))
+        split = np.concatenate([piece.crossing(*(x[:17] for x in rows)),
+                                piece.crossing(*(x[17:] for x in rows))])
+        for other in (alone, shuffled, split):
+            assert np.array_equal(block.view(np.uint64), other.view(np.uint64))
+
+    def test_no_table_without_a_ground_start_crossing(self):
+        rng = np.random.default_rng(11)
+        h = ps.effective_hamiltonian(PI_PULSE, 0.05)
+        piece = _Piece(h, 0.1, rate=1.0, driven=True)
+        span, g, e, thr, n_end = mixed_rows(piece, rng)
+        other = np.flatnonzero(g != 1.0)
+        piece.crossing(span[other], g[other], e[other], thr[other], n_end[other])
+        assert "ground_table" not in vars(piece)
+        piece.crossing(span, g, e, thr, n_end)
+        assert "ground_table" in vars(piece)
+
+    def test_sampled_envelope_builds_tables_only_where_needed(self, monkeypatch):
+        # a piece builds its table exactly when a crossing there has a row in |g>
+        pieces, ground_calls = [], set()
+        make_pieces, crossing = trajectories._pieces, _Piece.crossing
+
+        def recording_pieces(spec):
+            pieces.extend(make_pieces(spec))
+            return pieces
+
+        def recording_crossing(piece, span, g, e, thr, n_end):
+            if piece.driven and np.any((g == 1.0) & (e == 0.0)):
+                ground_calls.add(id(piece))
+            return crossing(piece, span, g, e, thr, n_end)
+
+        monkeypatch.setattr(trajectories, "_pieces", recording_pieces)
+        monkeypatch.setattr(_Piece, "crossing", recording_crossing)
+        # a plateau from t = 0, where every row starts in |g>, then a ramp of
+        # twenty short pieces entered in evolved states
+        spec = ps.DriveSpec(ps.SampledPulse((0, .3, .4), (50, 50, 0)))
+        ps.sample_trajectories(spec, 4000, seed=3)
+        tables = {id(p) for p in pieces if "ground_table" in vars(p)}
+        assert tables == ground_calls
+        assert id(pieces[0]) in tables and len(tables) < len(pieces) // 4
 
 
 class TestStreams:
@@ -191,6 +289,32 @@ class TestPinnedHistograms:
         assert ramp_run.counts.tolist() == [13790, 6187, 23]
         assert ramp_run.per_channel_totals == {"left": 6233 / N_TRAJ,
                                                "right": 6181 / N_TRAJ}
+
+    @pytest.mark.parametrize("spec, seed, psi0, counts, totals", [
+        # many jumps per trajectory: about two emissions each
+        (ps.DriveSpec(ps.SquarePulse(T=2.0, N=60.0), ps.TwoLine(a=0.5)), 9, None,
+         [587, 1382, 596, 342, 79, 13, 1], {"strong": 3987, "weak": 1965}),
+        (ps.DriveSpec(ps.SquarePulse(T=1.0, N=20.0), ps.SingleLine(delta=1.5)), 13, None,
+         [2207, 548, 234, 11], {"left": 1049, "right": 1087}),
+        (ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0)), 17, (0.0, 1.0),
+         [2553, 294, 153], {"left": 600, "right": 590}),
+        (ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0)), 19, (0.6, 0.8j),
+         [2250, 699, 48, 3], {"left": 804, "right": 753}),
+        (BUMP, 21, None, [1224, 1744, 32], {"strong": 1808, "weak": 532}),
+    ], ids=["two-line-many-jumps", "detuned", "excited", "superposition", "bump"])
+    def test_pinned_run(self, spec, seed, psi0, counts, totals):
+        res = ps.sample_trajectories(spec, 3000, seed=seed, psi0=psi0)
+        assert res.counts.tolist() == counts
+        assert res.per_channel_totals == {name: n / 3000 for name, n in totals.items()}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cli_counts(self, tmp_path, threads):
+        out = tmp_path / "traj.csv"
+        assert main(["traj", "--T", "1", "--N", "30", "--topology", "two", "--a", "0.5",
+                     "--n-traj", "4000", "--seed", "5", "--threads", threads,
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [1848, 1412, 590, 144, 5, 1]
 
 
 class TestValidation:
