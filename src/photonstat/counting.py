@@ -35,13 +35,12 @@ which a maximizer prepares once per (topology, T) (:func:`_one_photon_objective`
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutoffError, NumericalError, SpecError, TailError
+from .errors import CutoffError, NumericalError, SpecError, TailError, check_integer
 from .liouville import (
     GROUND,
     DriveSpec,
@@ -115,8 +114,7 @@ class PhotonStats:
 # Hierarchy integration
 
 def _check_cutoff(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise SpecError(f"cutoff k must be an integer >= 1, got k={k!r}")
+    check_integer(k, "k", 1, "cutoff k")
 
 
 def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
@@ -229,6 +227,8 @@ def invert_moments(moments) -> np.ndarray:
     moments = np.asarray(moments, dtype=float)
     if moments.ndim != 1 or len(moments) < 1:
         raise SpecError("need at least the first binomial moment")
+    if not np.isfinite(moments).all():
+        raise SpecError(f"moments must be finite, got {moments.tolist()}")
     probs = _inverted(moments)
     if probs.min() < -NEGATIVE_TOLERANCE:
         raise _negative_probability(probs.min())
@@ -284,6 +284,10 @@ def correlator(spec: DriveSpec, times, rho0=None) -> float:
     ``njump @ njump = 0``.
     """
     times = [float(t) for t in np.atleast_1d(times)]
+    if not times:
+        raise SpecError("need at least one correlation time")
+    if not all(map(math.isfinite, times)):
+        raise SpecError(f"correlation times must be finite, got {times}")
     if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
         raise SpecError(f"correlation times must be non-decreasing, got {times}")
     if times[0] < 0 or times[-1] > spec.t_end:

@@ -16,7 +16,6 @@ cutoff; only the distribution reported at the optimum uses the moment route.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,7 +29,7 @@ from .counting import (
     photon_statistics,
     verify_dual,
 )
-from .errors import SpecError
+from .errors import check_integer
 from .liouville import DriveSpec, SingleLine, SquarePulse, TwoLine, Topology
 
 __all__ = [
@@ -273,8 +272,7 @@ def sweep_two_line_slices(a_values, T: float, points: int = 120,
     twice that ratio's pi-pulse photon number, so the first inversion lobe
     is always in view.
     """
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
-        raise SpecError(f"points must be an integer >= 1, got points={points!r}")
+    check_integer(points, "points", 1)
     _check_grids([T], k=k)
     a_values = [float(a) for a in np.atleast_1d(a_values)]
     checks = _check_mask(len(a_values) * points).reshape(len(a_values), points)

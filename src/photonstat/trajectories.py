@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, SpecError
+from .errors import NumericalError, SpecError, check_integer
 from .liouville import (
     DriveSpec,
     decay_channels,
@@ -371,10 +371,9 @@ def sample_trajectory_range(spec: DriveSpec, seed: int, start: int, stop: int, p
     a full run is the elementwise sum over any partition into index ranges,
     which is how the CLI parallelizes.
     """
-    if stop <= start:
-        raise SpecError(f"empty trajectory range [{start}, {stop})")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise SpecError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer(seed, "seed", 0)
+    check_integer(start, "start", 0)
+    check_integer(stop, "stop", start + 1)
     seed = int(seed)
     pieces = _pieces(spec)
     g_init, e_init = _normalize_psi0(psi0)
@@ -423,8 +422,7 @@ def sample_trajectories(spec: DriveSpec, n_traj: int, seed: int, psi0=None) -> T
     psi0 : array_like, optional
         Initial pure-state amplitudes ``(g, e)``, default ground.
     """
-    if n_traj < 1:
-        raise SpecError(f"need n_traj >= 1, got {n_traj}")
+    check_integer(n_traj, "n_traj", 1)
     hist, mon_total, other_total = sample_trajectory_range(spec, seed, 0, n_traj, psi0=psi0)
     names = [c.name for c in decay_channels(spec)]
     totals = {names[0]: mon_total / n_traj, names[1]: other_total / n_traj}

@@ -138,6 +138,15 @@ class TestCorrelator:
         with pytest.raises(SpecError):
             ps.correlator(UNDRIVEN_EXCITED, [19.0, 21.0], rho0=ps.EXCITED)
 
+    def test_rejects_empty_times(self):
+        with pytest.raises(SpecError, match="at least one correlation time"):
+            ps.correlator(PI_PULSE, [])
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.1, np.nan], [np.nan, 0.1], [0.1, np.inf]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(SpecError, match=r"correlation times must be finite, got \["):
+            ps.correlator(PI_PULSE, times)
+
     def test_second_order_positive_for_separated_times(self):
         assert ps.correlator(PI_PULSE, [0.05, 0.3]) > 0.0
 
@@ -169,6 +178,11 @@ class TestInvertMoments:
         probs = ps.invert_moments([1e-10, 5.1e-11])
         assert probs[1] == 0.0
         assert np.all(probs >= 0.0)
+
+    @pytest.mark.parametrize("moments", [[np.nan], [np.inf], [0.5, -np.inf], [0.5, 0.05, np.nan]])
+    def test_rejects_non_finite_moments(self, moments):
+        with pytest.raises(SpecError, match="moments must be finite"):
+            ps.invert_moments(moments)
 
 
 def formula_inversion(moments):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -151,6 +156,15 @@ class TestEvolveState:
             ps.evolve_state(spec, np.array([[1.0, 0.2], [0.0, 0.0]]), 0.0, 0.1)
         with pytest.raises(SpecError, match="trace"):
             ps.evolve_state(spec, 0.5 * ps.GROUND, 0.0, 0.1)
+
+    @pytest.mark.parametrize("t0, t1", [(np.nan, 0.1), (0.0, np.nan), (0.0, np.inf),
+                                        (-np.inf, 0.1), (np.nan, np.nan)])
+    def test_rejects_non_finite_times(self, t0, t1):
+        spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=1.0))
+        with pytest.raises(SpecError, match=rf"^times must be finite, got t0={t0}, t1={t1}$"):
+            ps.propagator_between(spec, t0, t1)
+        with pytest.raises(SpecError, match=rf"^times must be finite, got t0={t0}, t1={t1}$"):
+            ps.evolve_state(spec, ps.GROUND, t0, t1)
 
     def test_identity_propagator_at_zero_duration(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.1, N=5.0))
@@ -354,3 +368,121 @@ class TestBlockExponential:
                 want = column[:, i - j] if j <= i else np.zeros_like(block)
                 assert np.array_equal(block, want)
         assert np.array_equal(_dense(column[2]), dense[2])
+
+
+def in_fresh_thread(fn):
+    """``fn()`` run in a new thread, whose kernel work buffer starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return result[0]
+
+
+class TestWorkBuffer:
+    """The kernel's work arrays live in one buffer per thread."""
+
+    @staticmethod
+    def stacks(rng, shapes):
+        return [norm_spread_stack(topology, n, rng) + (k,) for topology, n, k in shapes]
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_returned_column_outlives_later_calls(self, k):
+        rng = np.random.default_rng(20 + k)
+        diag, feed = norm_spread_stack(ps.TwoLine(a=0.3), 8, rng)
+        largest, *others = self.stacks(rng, [(ps.SingleLine(), 24, 16), (ps.SingleLine(), 1, 1),
+                                             (ps.TwoLine(a=0.01), 8, k), (ps.SingleLine(), 3, 0)])
+
+        def run():
+            # sized first, so that the later calls reuse the buffer
+            _dense(_block_expm(*largest, 1.0))
+            column = _block_expm(diag, feed, k, 1.0)
+            dense = _dense(column)
+            kept = column.copy(), dense.copy()
+            for stack in [largest, *others]:
+                _dense(_block_expm(*stack, 1.0))
+            return (column, dense), kept
+
+        (column, dense), kept = in_fresh_thread(run)
+        assert np.array_equal(column, kept[0]) and np.array_equal(dense, kept[1])
+
+    def test_stack_does_not_depend_on_earlier_calls(self):
+        rng = np.random.default_rng(23)
+        diag, feed = norm_spread_stack(ps.TwoLine(a=0.3), 24, rng)
+        # smaller requests, so the repeat runs on what they left in the buffer
+        others = self.stacks(rng, [(ps.SingleLine(), 5, 16), (ps.SingleLine(), 1, 3),
+                                   (ps.TwoLine(a=0.01), 12, 9), (ps.SingleLine(), 3, 0)])
+
+        def run():
+            first = _block_expm(diag, feed, 12, 1.0)
+            first_dense = _dense(first)
+            size = len(propagator._WORK.buffer)
+            for stack in others:
+                _dense(_block_expm(*stack, 1.0))
+            assert len(propagator._WORK.buffer) == size
+            later_dense = _dense(first)
+            again = _block_expm(diag, feed, 12, 1.0)
+            return first, again, [first_dense, later_dense, _dense(again)]
+
+        first, again, dense = in_fresh_thread(run)
+        assert np.array_equal(first, again)
+        assert all(np.array_equal(d, dense[0]) for d in dense)
+
+    def test_concurrent_threads_get_their_serial_results(self):
+        rng = np.random.default_rng(24)
+        jobs = self.stacks(rng, [(ps.SingleLine(), 24, 16), (ps.TwoLine(a=0.3), 7, 5),
+                                 (ps.SingleLine(delta=0.7), 31, 8), (ps.TwoLine(a=0.01), 2, 1)])
+        serial = [_dense(_block_expm(*job, 1.0)) for job in jobs]
+        barrier = threading.Barrier(len(jobs))
+        results = [[] for _ in jobs]
+
+        def work(i):
+            barrier.wait(timeout=60)
+            for _ in range(20):
+                results[i].append(_dense(_block_expm(*jobs[i], 1.0)))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 20
+            assert all(np.array_equal(g, want) for g in got)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_repeated_stacks_fault_in_no_pages(self):
+        # a fresh interpreter: large frees earlier in a process raise the
+        # allocator's thresholds, after which fresh arrays stop faulting too
+        pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert int(run.stdout) < 100
+
+
+# Minor page faults of 50 repeated 24-slice kernel calls at k = 8, after one
+# call that sizes the work buffer.
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+import photonstat as ps
+from photonstat.propagator import _block_expm, real_parts
+
+static, drive, jump = real_parts(ps.SingleLine())
+scale = np.geomspace(1e-3, 100.0, 24)[:, None, None]
+diag, feed = scale * (static + 20.0 * drive), scale * jump
+_block_expm(diag, feed, 8, 1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    _block_expm(diag, feed, 8, 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""

@@ -330,7 +330,27 @@ class TestValidation:
         with pytest.raises(SpecError):
             ps.sample_trajectories(PI_PULSE, 10, seed=1, psi0=(1.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("seed", [-3, 1.5])
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, False, 2.0, "7", None])
     def test_rejects_bad_seed(self, seed):
-        with pytest.raises(SpecError, match=str(seed)):
+        pattern = rf"^seed must be an integer >= 0, got seed={seed!r}$"
+        with pytest.raises(SpecError, match=pattern):
             ps.sample_trajectory_range(PI_PULSE, seed, 0, 10)
+        with pytest.raises(SpecError, match=pattern):
+            ps.sample_trajectories(PI_PULSE, 10, seed=seed)
+
+    @pytest.mark.parametrize("n_traj", [True, False, 10.5, 10.0, "10", None, 0, -2])
+    def test_rejects_non_integer_n_traj(self, n_traj):
+        with pytest.raises(SpecError, match=rf"^n_traj must be an integer >= 1, got n_traj={n_traj!r}$"):
+            ps.sample_trajectories(PI_PULSE, n_traj, seed=1)
+
+    @pytest.mark.parametrize("start, stop, name", [(True, 10, "start"), (-1, 10, "start"),
+                                                   (0, 10.0, "stop"), (0, False, "stop"),
+                                                   (5, 5, "stop")])
+    def test_rejects_bad_trajectory_range(self, start, stop, name):
+        with pytest.raises(SpecError, match=rf"^{name} must be an integer"):
+            ps.sample_trajectory_range(PI_PULSE, 1, start, stop)
+
+    def test_numpy_integers_are_accepted(self):
+        res = ps.sample_trajectories(PI_PULSE, np.int64(10), seed=np.uint32(3))
+        assert res.n_traj == 10 and res.seed == 3
+        assert res.counts.sum() == 10
