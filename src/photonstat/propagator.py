@@ -7,14 +7,14 @@ sampled envelopes, the undriven tail) the generator is constant, so the
 interval is one exact matrix exponential of the block generator, formed
 from the interval's drive amplitude as ``static + amplitude * drive``.
 Where a sampled envelope varies, the part is integrated with the
-fourth-order commutator-free Magnus scheme CF4 (two exponentials per
-step), with a halved-step Richardson check refining until the difference
-is below tolerance. The counting routes of :mod:`photonstat.counting`
-stack square pulses of any widths into one exponential call of their own,
-read the level states off its first block column, and add the undriven tail
-in closed form. The propagator of the master equation over any part of the
-window (:func:`propagator_between`) is the zeroth hierarchy level advanced
-from the identity.
+two-point Gauss fourth-order Magnus scheme (one exponential per step, itself
+of hierarchy form), with a halved-step Richardson check refining until the
+difference is below tolerance. The counting routes of
+:mod:`photonstat.counting` stack square pulses of any widths into one
+exponential call of their own, read the level states off its first block
+column, and add the undriven tail in closed form. The propagator of the
+master equation over any part of the window (:func:`propagator_between`) is
+the zeroth hierarchy level advanced from the identity.
 
 States and superoperators are column-stacked (:func:`photonstat.liouville.vectorize`)
 at the boundary of :func:`advance`, but propagated in the Hermitian
@@ -29,7 +29,8 @@ computes that column by truncated-Taylor scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in the algebra of 4x4 matrix
 polynomials truncated at level k, so a product costs one ``4 x 4(k+1)`` by
 ``4(k+1) x 4(k+1)`` matrix product instead of a dense ``4(k+1)``-cube one,
-and returns it; only :func:`advance` expands it to the matrix (:func:`_dense`).
+and returns it; only :func:`advance` and its Magnus passes expand it to the
+matrix (:func:`_dense`).
 
 The kernel's work arrays (padded power rows, one Toeplitz matrix, the Taylor
 terms and two products) and :func:`_dense`'s padded row are views of one
@@ -74,22 +75,17 @@ __all__ = ["evolve_state", "propagator_between", "validate_density", "advance"]
 STEP_TOLERANCE = 1e-9
 # Trace drift above which a state is renormalized after a segment.
 TRACE_DRIFT = 1e-12
-# Gauss-Legendre nodes of a step and the exponent weights of the
-# commutator-free fourth-order Magnus scheme (Blanes & Moan, Appl. Numer.
-# Math. 56, 1519 (2006)): row j weighs the generator at the two nodes in the
-# j-th of the step's two exponentials, applied in row order.
-_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_CF4_WEIGHTS = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
-                         [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
-# Steps whose exponentials are one stacked kernel call. Results do not
-# depend on it; a call has a fixed cost of ~30 small numpy operations, and
-# at k = 16 with all five Taylor blocks each step adds 155 kB to the work
-# buffer and 74 kB to the returned matrices (tracemalloc, 1 and 16 steps).
-_STACK_STEPS = 16
-# First-pass step count per sqrt(V) tol^(-1/4) (see _integrate_part); at
-# this value the first halved-step check passes on most parts of 1-3 knot
-# envelopes, and below ~0.1 most parts need a second round.
-_FIRST_STEPS = 0.12
+# Gauss-Legendre nodes of a step of the fourth-order Magnus scheme (Blanes,
+# Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+# Steps, one exponential each, per stacked kernel call. Results do not
+# depend on it; a call has a fixed cost of ~30 small numpy operations, and at
+# k = 16 each exponential takes 79 kB of work buffer and 37 kB of result.
+_STACK_STEPS = 32
+# First-pass step count per sqrt(V) tol^(-1/4) (see _integrate_part): the
+# first halved-step check passes on 285 of 338 parts of 48 bench envelopes
+# here (211 at 0.12), with the fewest kernel calls of 0.12-0.18.
+_FIRST_STEPS = 0.145
 # End-flux ratio below which a linear-flux part is graded (see _graded_drive).
 _GRADE_RATIO = 1e-3
 # Change of basis from the column-stacked vector (rho_gg, rho_eg, rho_ge,
@@ -295,58 +291,62 @@ def _dense(column: np.ndarray) -> np.ndarray:
     return _toeplitz(rev, k, np.empty(column.shape[:-3] + (4 * k + 4, 4 * k + 4)))
 
 
-def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
-    """Drive amplitude and ``dt/ds`` at ``s`` in [0, 1] on the linear-flux part [t0, t1].
-
-    The variable is graded quadratically toward an end whose flux is below
-    ``_GRADE_RATIO`` of the other's. The drive amplitude is the square root
-    of the flux, so a fall to zero or near-zero flux has an (almost) infinite
-    slope in t and degrades a fourth-order method; t = t0 + L s^2 makes the
-    amplitude smooth in s again.
-    """
+@lru_cache(maxsize=64)
+def _linear_part(spec: DriveSpec, t0: float, t1: float) -> tuple[float, float, int]:
+    """End fluxes of the linear-flux part [t0, t1], checked non-negative, and
+    the end (0 for t0, 1 for t1, else -1) toward which the variable is graded
+    quadratically, one whose flux is below ``_GRADE_RATIO`` of the other's:
+    the amplitude, the square root of the flux, has an (almost) infinite
+    slope in t at a (near-)zero end, which t = t0 + L s^2 smooths in s."""
     length = t1 - t0
     flux = spec.pulse.flux
     mid = flux(t0 + 0.5 * length)
     # the flux is linear across a part, so the one-sided edge values follow
     # exactly from two interior samples
     slope = (flux(t0 + 0.75 * length) - mid) / (0.25 * length)
-    fa = mid - 0.5 * slope * length
-    fb = mid + 0.5 * slope * length
+    fa, fb = mid - 0.5 * slope * length, mid + 0.5 * slope * length
     if min(fa, fb) < -1e-9 * (abs(mid) + 1.0):
         raise SpecError(f"drive flux must be non-negative, got N_in = {min(fa, fb)}")
-    if fa < _GRADE_RATIO * fb:
+    return fa, fb, 0 if fa < _GRADE_RATIO * fb else 1 if fb < _GRADE_RATIO * fa else -1
+
+
+def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
+    """Drive amplitude and ``dt/ds`` at ``s`` in [0, 1] on the linear-flux
+    part [t0, t1], in the graded variable of :func:`_linear_part`."""
+    fa, fb, toward = _linear_part(spec, t0, t1)
+    if toward == 0:
         u, du = s * s, 2.0 * s
-    elif fb < _GRADE_RATIO * fa:
+    elif toward == 1:
         u, du = 1.0 - (1.0 - s) ** 2, 2.0 * (1.0 - s)
     else:
         u, du = s, np.ones_like(s)
     amp = np.sqrt(drive_coefficient(spec.topology) * np.maximum(fa + (fb - fa) * u, 0.0))
-    return amp, length * du
+    return amp, (t1 - t0) * du
 
 
 def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
          n: int) -> np.ndarray:
-    """One pass of ``n`` CF4 steps over the linear-flux part [t0, t1].
+    """One pass of ``n`` fourth-order Magnus steps over the linear-flux part [t0, t1].
 
-    Steps are uniform in the graded variable s of :func:`_graded_drive`,
-    where the generator is ``B(s) = w(s) (base + amp(s) drive)`` on every
-    level plus ``w(s) J``, with ``J = jump_superop(spec)``, feeding each
-    level from the one below. A step applies ``exp(h sum_m a_jm B(s_m))``
-    for j = 1, 2 at its two Gauss nodes s_m. Each exponent keeps hierarchy
-    form, so every exponential is one slice of :func:`_block_expm`.
-    ``base``, ``drive``, ``J`` and ``y`` are in r (see :func:`real_parts`).
+    Each step of ``h = 1/n`` in the graded variable s of :func:`_graded_drive`
+    applies one exponential of ``h/2 (G1 + G2) + sqrt(3) h^2/12 [G2, G1]``,
+    G_m the hierarchy generator at the step's Gauss nodes: diagonal blocks
+    ``w (base + amp drive)`` fed by ``w J``, with ``J = jump_superop(spec)``.
+    Both feeds are multiples of J, so the commutator keeps hierarchy form,
+    with diagonal block ``w1 w2 (a1 - a2) [base, drive]`` and feed
+    ``w1 w2 (a2 - a1) [drive, J]``, and each step is one slice of
+    :func:`_block_expm`. ``base``, ``drive``, ``J`` and ``y`` are in r.
     """
     k = len(y) // 4 - 1
     _, drive, jump = real_parts(spec.topology)
-    amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _CF4_NODES) / n)
-    # exponent j of step i is p_ij base + q_ij drive, fed by p_ij J
-    p = (w @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
-    q = ((w * amp) @ _CF4_WEIGHTS.T).reshape(-1, 1, 1)
-    diag = p * base + q * drive
-    feed = p * jump
-    size = 2 * _STACK_STEPS
-    for lo in range(0, 2 * n, size):
-        stack = _dense(_block_expm(diag[lo:lo + size], feed[lo:lo + size], k, 1.0 / n))
+    amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _NODES).reshape(n, 2, 1, 1) / n)
+    # the exponent of each step divided by h
+    c = math.sqrt(3.0) / (12 * n) * w[:, 0] * w[:, 1] * (amp[:, 0] - amp[:, 1])
+    diag = 0.5 * (w.sum(1) * base + (w * amp).sum(1) * drive) + c * (base @ drive - drive @ base)
+    feed = 0.5 * w.sum(1) * jump + c * (jump @ drive - drive @ jump)
+    for lo in range(0, n, _STACK_STEPS):
+        part = slice(lo, lo + _STACK_STEPS)
+        stack = _dense(_block_expm(diag[part], feed[part], k, 1.0 / n))
         for exp_j in stack:
             y = exp_j @ y
     return y
@@ -356,14 +356,14 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
                     t1: float, tol: float) -> np.ndarray:
     """Advance ``y`` over one linear-flux part [t0, t1] of a sampled envelope.
 
-    CF4 verified by a halved-step Richardson check; on failure the step
-    count jumps to the resolution predicted by fourth-order convergence
-    before re-checking. CF4 is exact for a constant generator, and its
-    error grows as h^4 times the square of the change V of the graded
-    generator across the part, so the first pass takes
-    ``_FIRST_STEPS * sqrt(V) * tol**(-1/4)`` steps. ``base`` and ``y`` (shape
-    ``(4(k+1), m)``) are in r; V and the check are measured on the
-    column-stacked components.
+    Fourth-order Magnus passes (:func:`_cf4`) verified by a halved-step
+    Richardson check; on failure the step count jumps to the resolution
+    predicted by fourth-order convergence before re-checking. The scheme is
+    exact for a constant generator, and its error grows as h^4 times the
+    square of the change V of the graded generator across the part, so the
+    first pass takes ``_FIRST_STEPS * sqrt(V) * tol**(-1/4)`` steps. ``base``
+    and ``y`` (shape ``(4(k+1), m)``) are in r; V and the check are measured
+    on the column-stacked components.
     """
     _, drive, _ = real_parts(spec.topology)
     amp, w = _graded_drive(spec, t0, t1, np.array([0.0, 1.0]))

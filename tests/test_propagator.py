@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import photonstat as ps
@@ -239,6 +241,59 @@ class TestSampledIntegrator:
         verify_dual(spec, moments)
         tail_steps = [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)]
         assert tail_steps and max(tail_steps) < 1000
+
+    def test_magnus_exponent_keeps_hierarchy_form(self):
+        # one step is exp(1/2 (G1 + G2) + sqrt(3)/12 [G2, G1]) of the dense
+        # hierarchy generators at the two Gauss nodes of the graded onset
+        static, drive, njump = real_parts(RAMP.topology)
+        k = 3
+        nodes = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+        amp, w = propagator._graded_drive(RAMP, 0.0, 0.05, nodes)
+        y = np.random.default_rng(5).normal(size=(4 * (k + 1), 4))
+        for base in (static, static - njump):
+            g1, g2 = (block_hierarchy(w[m] * (base + amp[m] * drive), w[m] * njump, k)
+                      for m in (0, 1))
+            commutator = g2 @ g1 - g1 @ g2
+            for i in range(2, k + 1):
+                assert not commutator[4 * i:4 * i + 4, 4 * (i - 2):4 * i - 4].any()
+            omega = 0.5 * (g1 + g2) + np.sqrt(3.0) / 12.0 * commutator
+            got = _cf4(RAMP, base, y, 0.0, 0.05, 1)
+            assert np.max(np.abs(got - expm(omega) @ y)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+    def test_pass_hands_the_kernel_one_slice_per_step(self, n, kernel_calls):
+        static, _, _ = real_parts(RAMP.topology)
+        _cf4(RAMP, static, np.eye(4), 0.0, 0.05, n)
+        assert sum(len(stack) for stack, _, _ in kernel_calls) == n
+        assert len(kernel_calls) == -(-n // propagator._STACK_STEPS)
+
+    @pytest.mark.parametrize("spec", [
+        ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0))),
+        ps.DriveSpec(ps.SampledPulse((0.0, 0.1, 0.3, 0.5), (0.0, 20.0, 10.0, 0.0)),
+                     ps.TwoLine(a=0.5)),
+        ps.DriveSpec(ps.SampledPulse((0.0, 0.1, 0.2, 0.4, 0.7), (2.0, 15.0, 30.0, 5.0, 0.0)),
+                     ps.SingleLine(delta=1.0)),
+    ])
+    def test_moment_route_matches_dense_ode_solution(self, spec):
+        # the moment hierarchy from |g><g| by DOP853 on the dense column-stacked
+        # generator, knot to knot (every envelope ends at zero flux, so the
+        # generator is continuous on each closed part), then
+        # inclusion-exclusion by hand
+        k = 6
+        njump = ps.jump_superop(spec)
+        y = np.zeros(4 * (k + 1), dtype=complex)
+        y[:4] = ps.vectorize(ps.GROUND)
+        edges = spec.breakpoints()
+        for t0, t1 in zip(edges, edges[1:]):
+            def rhs(t, y):
+                return block_hierarchy(ps.build_liouvillian(spec, t), njump, k) @ y
+
+            y = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+        moments = np.array([1.0] + [y[4 * m] + y[4 * m + 3] for m in range(1, k + 1)]).real
+        reference = [sum((-1) ** (m - n) * math.comb(m, n) * moments[m] for m in range(n, k + 1))
+                     for n in range(k + 1)]
+        got = ps.photon_statistics(spec, k=k).probabilities
+        assert np.max(np.abs(got - reference)) < 1e-8
 
     def test_partition_matches_trajectory_pieces(self):
         specs = [
