@@ -339,11 +339,7 @@ def jump_superop(spec: DriveSpec) -> np.ndarray:
     (strong output line): ``rho -> sm rho sp``. One application represents
     one detected photon; applying it twice annihilates any state.
     """
-    return _monitored_jump(spec.topology)
-
-
-def _monitored_jump(topology: Topology) -> np.ndarray:
-    return _JUMP_TWO if isinstance(topology, TwoLine) else _JUMP_SINGLE
+    return _JUMP_TWO if isinstance(spec.topology, TwoLine) else _JUMP_SINGLE
 
 
 def drive_intervals(spec: DriveSpec) -> list[tuple[float, float, float | None]]:

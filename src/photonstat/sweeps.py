@@ -16,6 +16,7 @@ cutoff; only the distribution reported at the optimum uses the moment route.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -214,10 +215,11 @@ def _run_points(worker, points, workers: int) -> tuple:
     """``worker(*point)`` for every point, in order, on up to ``workers`` processes.
 
     Results do not depend on ``workers``; ``worker`` and the points must be
-    picklable when ``workers > 1``. A single point runs in this process,
-    without a pool's start-up.
+    picklable when a pool runs. The pool's processes all start at once, so
+    it has at most one per point and per CPU; with one, the points run here.
     """
-    if workers > 1 and len(points) > 1:
+    workers = min(workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool's modules add ~20 ms to every package import
         from concurrent.futures import ProcessPoolExecutor
 

@@ -30,14 +30,13 @@ row needs a crossing, and the inverse table gives these rows their first
 Newton iterate; other rows start from the secant through the ends of
 their span.
 
-Reproducibility contract: trajectory ``i`` draws from a PCG64 generator
-seeded with ``SeedSequence([seed, i])`` and consumes, in order, one initial
-threshold, then per jump one channel uniform followed by the next
-threshold. :class:`_Streams` computes these draws for a whole block of
-indices in numpy, bit for bit equal to
-``np.random.default_rng([seed, i]).random()``. The schedule depends only on
+Reproducibility contract: trajectory ``i`` consumes, in order, one initial
+threshold, then per jump one channel uniform followed by the next threshold.
+Draw ``j = 1, 2, ...`` of trajectory ``i`` is a counter-based hash of
+``(seed, i, j)`` built from the SplitMix64 finalizer (Steele, Lea & Flood,
+OOPSLA 2014), written out in :class:`_Streams`. The schedule depends only on
 the trajectory's own history, so histograms merge identically no matter how
-trajectories are split across workers.
+trajectories are split across chunks and workers.
 """
 
 from __future__ import annotations
@@ -77,14 +76,10 @@ _GROUND_GRID = 256
 # Trajectories advanced together as one array; results do not depend on it.
 _CHUNK = 4096
 
-_M32 = 0xFFFFFFFF
-# numpy's SeedSequence: a pool of four 32-bit words and its hash constants
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# 128-bit PCG64 multiplier as (high, low) 64-bit words
-_PCG_MUL = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its increment and the two
+# multipliers of its finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -103,107 +98,37 @@ class TrajectoryResult:
 # ---------------------------------------------------------------------------
 # Per-trajectory random streams
 
-class _Hash:
-    """SeedSequence's multiply-xorshift hash with its running constant."""
-
-    def __init__(self, init: int, mult: int):
-        self.const, self.mult = init, mult
-
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
-        self.const = self.const * self.mult & _M32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)``, one column per word.
-
-    ``entropy`` lists the 32-bit entropy words as uint32 arrays, one entry
-    per stream.
-    """
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL:]:
-        for i_dst in range(_POOL):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-    out = _Hash(_INIT_B, _MULT_B)
-    halves = [out(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
-    return [halves[2 * i] | halves[2 * i + 1] << np.uint64(32) for i in range(4)]
-
-
-def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``."""
-    a0, a1 = a & np.uint64(_M32), a >> np.uint64(32)
-    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 state update ``state * MUL + inc`` modulo 2**128."""
-    m_hi, m_lo = _PCG_MUL
-    new_lo = lo * np.uint64(m_lo) + inc_lo
-    carry = (new_lo < inc_lo).astype(np.uint64)
-    new_hi = (_mul_hi(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo)
-              + inc_hi + carry)
-    return new_hi, new_lo
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on uint64 arrays, modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _MIX_B
+    return z ^ (z >> np.uint64(31))
 
 
 class _Streams:
-    """The ``random()`` streams of ``np.random.default_rng([seed, i])`` for many ``i``.
+    """Counter-based uniform streams of trajectories ``index`` under ``seed``.
 
-    Hashes ``SeedSequence([seed, i])`` in uint32 arithmetic, seeds PCG64
-    from the first four 64-bit state words, and keeps each stream's 128-bit
-    state and increment as high and low uint64 arrays.
+    With ``mix`` the finalizer :func:`_mix` and all arithmetic modulo
+    2**64, the key folds the seed's 64-bit words, low word first and at
+    least one, as ``key = mix((key ^ word) + GAMMA)`` from 0. Trajectory
+    ``i`` has base ``mix(i ^ key)``, and its draw ``j = 1, 2, ...`` is
+    ``(mix(base + j * GAMMA) >> 11) * 2**-53``. Each row keeps only its
+    base and its draw counter.
     """
 
     def __init__(self, seed: int, index: np.ndarray):
-        # SeedSequence splits each integer into as many 32-bit words as it needs
-        seed_words = [seed >> 32 * k & _M32
-                      for k in range(max(1, (seed.bit_length() + 31) // 32))]
-        self.hi, self.lo, self.inc_hi, self.inc_lo = (
-            np.empty(len(index), dtype=np.uint64) for _ in range(4))
-        wide = index > _M32
-        for two_words in (False, True):
-            rows = np.flatnonzero(wide == two_words)
-            if not len(rows):
-                continue
-            idx = index[rows]
-            entropy = [np.full(len(rows), w, dtype=np.uint32) for w in seed_words]
-            entropy.append((idx & np.uint64(_M32)).astype(np.uint32))
-            if two_words:
-                entropy.append((idx >> np.uint64(32)).astype(np.uint32))
-            s_hi, s_lo, i_hi, i_lo = _seed_words(entropy)
-            inc_hi = i_hi << np.uint64(1) | i_lo >> np.uint64(63)
-            inc_lo = i_lo << np.uint64(1) | np.uint64(1)
-            # pcg_setseq_128_srandom_r: state = inc + seed, then one step
-            lo = inc_lo + s_lo
-            hi = inc_hi + s_hi + (lo < s_lo).astype(np.uint64)
-            self.hi[rows], self.lo[rows] = _pcg_step(hi, lo, inc_hi, inc_lo)
-            self.inc_hi[rows], self.inc_lo[rows] = inc_hi, inc_lo
+        # a one-element array: scalar uint64 arithmetic warns on wrap-around
+        key = np.zeros(1, dtype=np.uint64)
+        for k in range(max(1, (seed.bit_length() + 63) // 64)):
+            key = _mix((key ^ np.uint64((seed >> 64 * k) % 2**64)) + _GAMMA)
+        self.base = _mix(index ^ key)
+        self.count = np.zeros(len(index), dtype=np.uint64)
 
     def next(self, rows: np.ndarray) -> np.ndarray:
-        """Advance the streams ``rows`` by one draw and return their ``random()``."""
-        hi, lo = _pcg_step(self.hi[rows], self.lo[rows], self.inc_hi[rows],
-                           self.inc_lo[rows])
-        self.hi[rows], self.lo[rows] = hi, lo
-        # XSL-RR output: xor the halves, rotate right by the top six bits
-        x = hi ^ lo
-        rot = hi >> np.uint64(58)
-        out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        return (out >> np.uint64(11)).astype(float) * 2.0 ** -53
+        """Advance the streams ``rows`` by one draw and return it, in [0, 1)."""
+        count = self.count[rows] + np.uint64(1)
+        self.count[rows] = count
+        return (_mix(self.base[rows] + count * _GAMMA) >> np.uint64(11)) * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +341,10 @@ def sample_trajectories(spec: DriveSpec, n_traj: int, seed: int, psi0=None) -> T
     n_traj : int
         Number of trajectories, >= 1.
     seed : int
-        Non-negative base seed; trajectory ``i`` uses
-        ``SeedSequence([seed, i])``, so results are bit-for-bit reproducible
-        for fixed ``(seed, n_traj)`` regardless of chunking or worker layout.
+        Non-negative base seed; draw j of trajectory ``i`` is a hash of
+        ``(seed, i, j)`` (see :class:`_Streams`), so results are bit-for-bit
+        reproducible for fixed ``(seed, n_traj)`` regardless of chunking or
+        worker layout.
     psi0 : array_like, optional
         Initial pure-state amplitudes ``(g, e)``, default ground.
     """

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import photonstat as ps
@@ -402,7 +403,9 @@ class TestTraj:
 
     def test_compare_reference_covers_the_widest_bin(self, tmp_path, monkeypatch):
         # an adaptive reference that stops below the widest observed bin is
-        # computed again with the cutoff at that bin
+        # computed again with the cutoff at that bin. The histogram is fixed,
+        # so that its widest bin, 5, is one the jump-counting reference
+        # accepts as a cutoff (k = 4 is too short for this drive)
         calls = []
 
         def short_adaptive(spec, method, k=None, rho0=None):
@@ -411,13 +414,15 @@ class TestTraj:
             return stats if k else dataclasses.replace(stats, cutoff_k=1)
 
         monkeypatch.setattr(cli, "photon_statistics", short_adaptive)
+        monkeypatch.setattr(cli, "_run_trajectories",
+                            lambda config, spec: np.array([832, 897, 215, 51, 4, 1]))
         out = tmp_path / "c.csv"
         assert main(["traj", "--T", "2", "--N", "20", "--n-traj", "2000",
                      "--seed", "5", "--compare", "--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert calls == [None, len(rows) - 1] and len(rows) > 2
+        assert calls == [None, 5] and len(rows) == 6
         spec = ps.DriveSpec(ps.SquarePulse(T=2.0, N=20.0))
-        ref = counting.photon_statistics(spec, "jump-counting", k=len(rows) - 1)
+        ref = counting.photon_statistics(spec, "jump-counting", k=5)
         col = header.index("p_counting")
         assert [r[col] for r in rows] == [format(p, ".12g") for p in ref.probabilities]
 

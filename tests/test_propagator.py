@@ -349,7 +349,7 @@ class TestRealCoordinates:
             for topology in (ps.SingleLine(delta=delta),
                              ps.TwoLine(a=float(rng.uniform(1e-9, 1.0)), delta=delta)):
                 static, drive = ps.liouville.liouvillian_parts(topology)
-                jump = ps.liouville._monitored_jump(topology)
+                jump = ps.jump_superop(ps.DriveSpec(ps.SquarePulse(T=1.0, N=1.0), topology))
                 for real, op in zip(real_parts.__wrapped__(topology), (static, drive, jump)):
                     assert real.tobytes() == _real(op).tobytes() and not real.flags.writeable
 

@@ -6,6 +6,7 @@ import pytest
 
 import photonstat as ps
 from photonstat import counting, propagator, sweeps
+from photonstat.cli import main
 from photonstat.errors import NumericalError, SpecError
 from photonstat.liouville import drive_coefficient
 from photonstat.sweeps import _golden_max
@@ -355,3 +356,58 @@ class TestSweepRows:
             ps.sweep_single_line(T_grid=[10.0], N_grid=n_grid)
         assert type(row.value) is type(alone.value)
         assert str(row.value) == str(alone.value)
+
+
+
+class TestPoolSize:
+    """Every pool process starts at once, so the pool is sized to the work."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Sizes of the pools asked for; each maps in this process instead."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 16)
+        return sizes
+
+    @pytest.mark.parametrize("workers, n_points, cpus, size", [
+        (8, 2, 16, 2), (100_000, 3, 16, 3), (8, 40, 4, 4), (4, 40, None, None),
+        (1, 40, 16, None), (8, 1, 16, None),
+    ])
+    def test_pool_has_at_most_one_process_per_point_and_cpu(
+            self, pools, monkeypatch, workers, n_points, cpus, size):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        points = [(i, 10 * i) for i in range(n_points)]
+        out = sweeps._run_points(lambda a, b: a + b, points, workers)
+        assert out == tuple(11 * i for i in range(n_points))
+        assert pools == ([] if size is None else [size])
+
+    def test_fig4_preset_starts_one_process_per_row(self, pools, tmp_path):
+        out = tmp_path / "fig4.csv"
+        assert main(["sweep", "--preset", "fig4", "--threads", "8", "--out", str(out)]) == 0
+        # two coupling ratios, one row of the sweep each
+        assert pools == [2]
+
+    def test_traj_threads_beyond_trajectories(self, pools, tmp_path):
+        args = ["traj", "--T", "0.1", "--N", "20", "--n-traj", "50", "--seed", "7"]
+        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+        assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+        assert main(args + ["--threads", "100000", "--out", str(many)]) == 0
+        assert pools == [16]
+        assert one.read_bytes() == many.read_bytes()

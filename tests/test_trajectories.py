@@ -173,19 +173,64 @@ class TestGroundStartCrossing:
         assert id(pieces[0]) in tables and len(tables) < len(pieces) // 4
 
 
+M64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
+
+
+def reference_draws(seed, i, n):
+    """Draws 1..n of trajectory ``i``: the documented formula on Python ints."""
+    key, rest = 0, seed
+    while True:
+        key = mix64((key ^ rest & M64) + GAMMA & M64)
+        rest >>= 64
+        if not rest:
+            break
+    base = mix64(i ^ key)
+    return [(mix64(base + j * GAMMA & M64) >> 11) * 2.0**-53 for j in range(1, n + 1)]
+
+
 class TestStreams:
-    def test_matches_numpy_generators(self):
-        # entropy beyond the four-word pool and indices of two 32-bit words
-        # take separate paths through SeedSequence
-        seeds = [0, 7, 2**31 - 1, 2**32 + 5, 2**100 + 11]
-        index = [0, 1, 999, 2**32 - 1, 2**32 + 1]
+    def test_matches_reference_formula(self):
+        # seeds of one, two and three 64-bit words; indices at and above 2**32
+        seeds = [0, 7, 2**64 - 1, 2**64, 2**100 + 11, 2**128, 2**190 + 2**64 + 3]
+        index = [0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1]
         for seed in seeds:
             streams = _Streams(seed, np.array(index, dtype=np.uint64))
-            rows = np.arange(len(index))
-            draws = np.array([streams.next(rows) for _ in range(5)]).T
+            draws = [[] for _ in index]
+            # rows advance unevenly, as after jumps: each keeps its own counter
+            for rows in ([0, 1, 2, 3, 4, 5, 6, 7], [1, 3, 5, 7], [7], [0, 2, 4, 6, 7],
+                         [0, 1, 2, 3, 4, 5, 6]):
+                for r, x in zip(rows, streams.next(np.array(rows))):
+                    draws[r].append(x)
             for i, got in zip(index, draws):
-                assert np.array_equal(got, np.random.default_rng([seed, i]).random(5)), \
-                    (seed, i)
+                assert got == reference_draws(seed, i, len(got)), (seed, i)
+
+    def test_uniform_and_independent(self):
+        # 1e6 draws: trajectories i = 0..999 of seed 0, draws j = 1..1000;
+        # every statistic must lie within 5 standard errors of its expectation
+        n_i = n_j = 1000
+        streams = _Streams(0, np.arange(n_i, dtype=np.uint64))
+        rows = np.arange(n_i)
+        u = np.array([streams.next(rows) for _ in range(n_j)]).T
+        n = u.size
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / n)
+        # the sample variance of U(0, 1) has variance (1/80 - 1/144) / n
+        assert abs(u.var() - 1 / 12) < 5 * np.sqrt((1 / 80 - 1 / 144) / n)
+        # chi-square over 100 equal bins: 99 degrees of freedom, sd sqrt(198)
+        observed = np.bincount((u * 100).astype(int).ravel(), minlength=100)
+        chi2 = np.sum((observed - n / 100) ** 2 / (n / 100))
+        assert abs(chi2 - 99) < 5 * np.sqrt(198)
+        # lag-1 correlation across adjacent trajectories and adjacent draws
+        for a, b in ((u[:-1], u[1:]), (u[:, :-1], u[:, 1:])):
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) < 5 / np.sqrt(a.size)
 
 
 class TestSampling:
@@ -272,35 +317,36 @@ class TestReproducibility:
 
 
 class TestPinnedHistograms:
-    """Histograms and channel totals frozen from the fixed-step sampler."""
+    """Histograms and channel totals of the event-driven sampler on the
+    counter-based streams of :class:`_Streams`; a change to either moves them."""
 
     def test_pi_pulse(self):
         res = ps.sample_trajectories(PI_PULSE, 3000, seed=42)
-        assert res.counts.tolist() == [1524, 1465, 11]
-        assert res.per_channel_totals == {"left": 1487 / 3000, "right": 1551 / 3000}
+        assert res.counts.tolist() == [1492, 1502, 6]
+        assert res.per_channel_totals == {"left": 1514 / 3000, "right": 1515 / 3000}
 
     def test_two_line_from_excited(self):
         spec = ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0), ps.TwoLine(a=0.3))
         res = ps.sample_trajectories(spec, 3000, seed=5, psi0=(0.0, 1.0))
-        assert res.counts.tolist() == [2085, 602, 309, 4]
-        assert res.per_channel_totals == {"strong": 1232 / 3000, "weak": 369 / 3000}
+        assert res.counts.tolist() == [2119, 592, 286, 3]
+        assert res.per_channel_totals == {"strong": 1173 / 3000, "weak": 358 / 3000}
 
     def test_sampled_ramp(self, ramp_run):
-        assert ramp_run.counts.tolist() == [13790, 6187, 23]
-        assert ramp_run.per_channel_totals == {"left": 6233 / N_TRAJ,
-                                               "right": 6181 / N_TRAJ}
+        assert ramp_run.counts.tolist() == [13959, 6028, 13]
+        assert ramp_run.per_channel_totals == {"left": 6054 / N_TRAJ,
+                                               "right": 6253 / N_TRAJ}
 
     @pytest.mark.parametrize("spec, seed, psi0, counts, totals", [
         # many jumps per trajectory: about two emissions each
         (ps.DriveSpec(ps.SquarePulse(T=2.0, N=60.0), ps.TwoLine(a=0.5)), 9, None,
-         [587, 1382, 596, 342, 79, 13, 1], {"strong": 3987, "weak": 1965}),
+         [600, 1349, 624, 337, 69, 19, 2], {"strong": 3991, "weak": 2012}),
         (ps.DriveSpec(ps.SquarePulse(T=1.0, N=20.0), ps.SingleLine(delta=1.5)), 13, None,
-         [2207, 548, 234, 11], {"left": 1049, "right": 1087}),
+         [2221, 538, 226, 15], {"left": 1035, "right": 1023}),
         (ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0)), 17, (0.0, 1.0),
-         [2553, 294, 153], {"left": 600, "right": 590}),
+         [2566, 304, 129, 1], {"left": 565, "right": 526}),
         (ps.DriveSpec(ps.SquarePulse(T=0.5, N=10.0)), 19, (0.6, 0.8j),
-         [2250, 699, 48, 3], {"left": 804, "right": 753}),
-        (BUMP, 21, None, [1224, 1744, 32], {"strong": 1808, "weak": 532}),
+         [2312, 647, 40, 1], {"left": 730, "right": 743}),
+        (BUMP, 21, None, [1249, 1731, 20], {"strong": 1771, "weak": 532}),
     ], ids=["two-line-many-jumps", "detuned", "excited", "superposition", "bump"])
     def test_pinned_run(self, spec, seed, psi0, counts, totals):
         res = ps.sample_trajectories(spec, 3000, seed=seed, psi0=psi0)
@@ -314,7 +360,7 @@ class TestPinnedHistograms:
                      "--n-traj", "4000", "--seed", "5", "--threads", threads,
                      "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
-        assert [int(row.split(",")[1]) for row in rows] == [1848, 1412, 590, 144, 5, 1]
+        assert [int(row.split(",")[1]) for row in rows] == [1941, 1360, 577, 117, 5]
 
 
 class TestValidation:
