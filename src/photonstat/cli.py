@@ -21,7 +21,8 @@ import numpy as np
 from .counting import MAX_CUTOFF, photon_statistics, verify_dual
 from .errors import ConfigError, NumericalError
 from .liouville import EXCITED, GROUND, DriveSpec, SampledPulse, SingleLine, SquarePulse, TwoLine
-from .sweeps import _run_points, sweep_single_line, sweep_two_line, sweep_two_line_slices
+from .sweeps import (_pool_size, _run_points, sweep_single_line, sweep_two_line,
+                     sweep_two_line_slices)
 from .trajectories import sample_trajectory_range
 
 __all__ = ["RunConfig", "main"]
@@ -221,11 +222,11 @@ def _entry(array, n, scale=1.0):
 # Commands
 
 def _run_trajectories(config: RunConfig, spec: DriveSpec) -> np.ndarray:
-    """Histogram of monitored counts, identical for any thread count."""
+    """Histogram of monitored counts, identical for any thread count; one range per process."""
     psi0 = config.initial_amplitudes()
-    n = config.n_traj
-    per = math.ceil(n / config.threads)
-    ranges = [(spec, config.seed, i, min(i + per, n), psi0) for i in range(0, n, per)]
+    n, parts = config.n_traj, _pool_size(config.threads, config.n_traj)
+    ranges = [(spec, config.seed, n * i // parts, n * (i + 1) // parts, psi0)
+              for i in range(parts)]
     pieces = _run_points(sample_trajectory_range, ranges, config.threads)
     width = max(len(h) for h, _, _ in pieces)
     hist = np.zeros(width, dtype=np.int64)

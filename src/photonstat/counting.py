@@ -22,7 +22,7 @@ Both hierarchies are block lower-bidiagonal linear systems, advanced up to
 the pulse end: square pulses of one topology, at any widths, as one stack
 of exact exponentials whose first block columns hold the level states
 (:func:`_pulse_stack`), and a sampled envelope by
-:func:`photonstat.propagator.advance` (exact on flat parts, fourth-order
+:func:`photonstat.propagator.advance` (exact on flat parts, sixth-order
 Magnus verified by step halving where it varies). The undriven tail from
 the pulse end to ``t_end`` adds to every level trace in closed form
 (:func:`_end_traces`). A row of square pulses (a sweep row) climbs the

@@ -7,12 +7,12 @@ sampled envelopes, the undriven tail) the generator is constant, so the
 interval is one exact matrix exponential of the block generator, formed
 from the interval's drive amplitude as ``static + amplitude * drive``.
 Where a sampled envelope varies, the part is integrated with the
-two-point Gauss fourth-order Magnus scheme (one exponential per step, itself
-of hierarchy form), with a halved-step Richardson check refining until the
-difference is below tolerance. The counting routes of
-:mod:`photonstat.counting` stack square pulses of any widths into one
-exponential call of their own, read the level states off its first block
-column, and add the undriven tail in closed form. The propagator of the
+three-node Gauss sixth-order Magnus scheme (one exponential per step, of a
+generator three block subdiagonals deep), with a halved-step Richardson
+check refining until the difference is below tolerance. The counting
+routes of :mod:`photonstat.counting` stack square pulses of any widths into
+one exponential call of their own, read the level states off its first
+block column, and add the undriven tail in closed form. The propagator of the
 master equation over any part of the window (:func:`propagator_between`) is
 the zeroth hierarchy level advanced from the identity.
 
@@ -22,9 +22,9 @@ coordinates r = (rho_gg, rho_ee, Re rho_eg, Im rho_eg). Every generator,
 drive term and jump superoperator of the model preserves Hermiticity, so in
 r it is real and every hierarchy exponential is taken in float64.
 
-Every exponential is one of the hierarchy generator, block lower-bidiagonal
-with equal blocks, so it is block lower-triangular Toeplitz (Van Loan, IEEE
-TAC 23, 395 (1978)) and fixed by its first block column. :func:`_block_expm`
+Every exponential is one of a block lower-triangular Toeplitz generator, so
+it is block lower-triangular Toeplitz too (Van Loan, IEEE TAC 23, 395
+(1978)) and fixed by its first block column. :func:`_block_expm`
 computes that column by truncated-Taylor scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in the algebra of 4x4 matrix
 polynomials truncated at level k, so a product costs one ``4 x 4(k+1)`` by
@@ -75,17 +75,20 @@ __all__ = ["evolve_state", "propagator_between", "validate_density", "advance"]
 STEP_TOLERANCE = 1e-9
 # Trace drift above which a state is renormalized after a segment.
 TRACE_DRIFT = 1e-12
-# Gauss-Legendre nodes of a step of the fourth-order Magnus scheme (Blanes,
-# Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
-_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+# Gauss-Legendre nodes of a step of the sixth-order Magnus scheme (Blanes,
+# Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and a_m = h sum_j
+# _ALPHA[m, j] A_j over the generators A_j at the nodes (see _magnus).
+_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_ALPHA = np.array([[0, 3, 0], [-math.sqrt(15.0), 0, math.sqrt(15.0)], [10, -20, 10]]) / 3.0
 # Steps, one exponential each, per stacked kernel call. Results do not
 # depend on it; a call has a fixed cost of ~30 small numpy operations, and at
 # k = 16 each exponential takes 79 kB of work buffer and 37 kB of result.
 _STACK_STEPS = 32
-# First-pass step count per sqrt(V) tol^(-1/4) (see _integrate_part): the
-# first halved-step check passes on 285 of 338 parts of 48 bench envelopes
-# here (211 at 0.12), with the fewest kernel calls of 0.12-0.18.
-_FIRST_STEPS = 0.145
+# First-pass step count per V^(1/3) tol^(-1/6) (see _integrate_part). On 671
+# linear parts of 96 bench envelopes, 0.2/0.26/0.3/0.35/0.4 pass the first
+# halved-step check on 499/599/644/668/671 parts, in 1636/1459/1435/1447/1516
+# kernel calls; 0.32 makes 1432 calls, but 3 % more slices.
+_FIRST_STEPS = 0.3
 # End-flux ratio below which a linear-flux part is graded (see _graded_drive).
 _GRADE_RATIO = 1e-3
 # Change of basis from the column-stacked vector (rho_gg, rho_eg, rho_ge,
@@ -225,21 +228,23 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     ``diag`` (shape ``(..., 4, 4)``) and feed ``feed``, levels 0..k, as its
     first block column: ``F_m`` at ``[..., m, :, :]`` (shape ``(..., k+1, 4, 4)``),
     which :func:`_dense` expands to the matrix. ``dt`` is one time step, or
-    one per slice.
+    one per slice. A ``feed`` with one more axis than ``diag`` stacks the
+    blocks of subdiagonals 1, 2, ...; bands beyond level k are dropped.
 
     A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its
     first block column; a product with another is that row times the
     other's :func:`_toeplitz` matrix. Each slice picks its Taylor degree and
-    scaling from its own 1-norm ``max col-sum(|D| + |J|) dt``. A slice of
-    lower degree has zero coefficients in the higher blocks and one of fewer
-    squarings is masked out of the later ones, so every slice comes out bit
-    for bit as alone. The work arrays are views of this thread's buffer;
-    the returned column is a fresh array.
+    scaling from its own 1-norm ``max col-sum(|D| + |J|) dt``, |J| summed
+    over the feed's bands. A slice of lower degree has zero coefficients in
+    the higher blocks and one of fewer squarings is masked out of the later
+    ones, so every slice comes out bit for bit as alone. The work arrays
+    are views of this thread's buffer; the returned column is a fresh array.
     """
     D = diag.reshape(-1, 4, 4)
     n, w, m = len(D), 8 * k + 4, 4 * k + 4
+    bands = np.moveaxis(feed, -3, 0) if feed.ndim > diag.ndim else [feed]
     # elementwise sums keep the norm, and so the choice, independent of the stack
-    a = np.abs(D) + np.abs(feed)
+    a = sum(map(np.abs, bands), np.abs(D))
     a = a[:, :2] + a[:, 2:]
     pick = np.searchsorted(_CAPACITY, (a[:, 0] + a[:, 1]).max(-1) * dt)
     degree, squarings = _CHOICE[:, pick]
@@ -253,8 +258,8 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     P[2:, :, :, :4 * k] = 0.0
     P[0, :, :, 4 * k:4 * k + 4] = _EYE
     P[1, :, :, 4 * k:4 * k + 4] = D
-    if k:
-        P[1, :, :, 4 * k + 4:4 * k + 8] = feed
+    for j, band in enumerate(bands[:k]):  # bands beyond level k are dropped
+        P[1, :, :, 4 * (k + j + 1):4 * (k + j + 2)] = band
     P[1] *= (dt * _SCALE[pick])[:, None, None]
     _toeplitz(P[1], k, step)
     for j in range(2, _POWERS):
@@ -324,30 +329,58 @@ def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
     return amp, (t1 - t0) * du
 
 
-def _cf4(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
-         n: int) -> np.ndarray:
-    """One pass of ``n`` fourth-order Magnus steps over the linear-flux part [t0, t1].
+@lru_cache(maxsize=64)
+def _magnus_basis(topology: Topology, base: bytes) -> np.ndarray:
+    """The 11 generators whose scalar combinations are the exponents of
+    :func:`_magnus`, as rows of bands 0-3 (shape ``(11, 64)``): K (diagonal
+    ``base``, feed J), X (diagonal ``drive``), Z1 = [K, X], Z2 = [K, Z1],
+    Z3 = [X, Z1], [K, Z2], [K, Z3], [X, Z2], [X, Z3], [Z1, Z2], [Z1, Z3].
+    None reaches past band 3, so levels 0-3 of the dense matrices hold them."""
+    _, drive, jump = real_parts(topology)
+    K = np.kron(np.eye(4), np.frombuffer(base).reshape(4, 4)) + np.kron(np.eye(4, k=-1), jump)
+    X = np.kron(np.eye(4), drive)
+    z1 = K @ X - X @ K
+    z2, z3 = K @ z1 - z1 @ K, X @ z1 - z1 @ X
+    basis = np.array([K, X, z1, z2, z3, *(a @ b - b @ a for a, b in (
+        (K, z2), (K, z3), (X, z2), (X, z3), (z1, z2), (z1, z3)))])[:, :, :4].reshape(11, 64)
+    basis.setflags(write=False)
+    return basis
+
+
+def _magnus(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
+            n: int) -> np.ndarray:
+    """One pass of ``n`` sixth-order Magnus steps over the linear-flux part [t0, t1].
 
     Each step of ``h = 1/n`` in the graded variable s of :func:`_graded_drive`
-    applies one exponential of ``h/2 (G1 + G2) + sqrt(3) h^2/12 [G2, G1]``,
-    G_m the hierarchy generator at the step's Gauss nodes: diagonal blocks
-    ``w (base + amp drive)`` fed by ``w J``, with ``J = jump_superop(spec)``.
-    Both feeds are multiples of J, so the commutator keeps hierarchy form,
-    with diagonal block ``w1 w2 (a1 - a2) [base, drive]`` and feed
-    ``w1 w2 (a2 - a1) [drive, J]``, and each step is one slice of
+    applies one exponential of (Blanes, Casas & Ros, BIT 40, 434 (2000))::
+
+        a1 = h A2,  a2 = sqrt(15) h/3 (A3 - A1),  a3 = 10 h/3 (A3 - 2 A2 + A1)
+        C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1]
+        Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + C1, a2 + C2]
+
+    A_m = w (K + amp X) is the generator at node m, where K has diagonal
+    blocks ``base`` fed by ``J = jump_superop(spec)`` and X diagonal blocks
+    ``drive``. So each a_m is ``p K + q X``, Omega a scalar combination of
+    the generators of :func:`_magnus_basis`, and each step one slice of
     :func:`_block_expm`. ``base``, ``drive``, ``J`` and ``y`` are in r.
     """
     k = len(y) // 4 - 1
-    _, drive, jump = real_parts(spec.topology)
-    amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _NODES).reshape(n, 2, 1, 1) / n)
-    # the exponent of each step divided by h
-    c = math.sqrt(3.0) / (12 * n) * w[:, 0] * w[:, 1] * (amp[:, 0] - amp[:, 1])
-    diag = 0.5 * (w.sum(1) * base + (w * amp).sum(1) * drive) + c * (base @ drive - drive @ base)
-    feed = 0.5 * w.sum(1) * jump + c * (jump @ drive - drive @ jump)
+    amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _NODES) / n)
+    # a_m = p_m K + q_m X, each weight of shape (n,)
+    p1, p2, p3, q1, q2, q3 = (np.stack([w, w * amp]) @ (_ALPHA.T / n)).swapaxes(1, 2).reshape(6, n)
+    # C1 = c Z1, C2 = e Z1 - c/60 (p1 Z2 + q1 Z3), -20 a1 - a3 + C1 = u K + v X + c Z1
+    c, e = p1 * q2 - q1 * p2, (q1 * p3 - p1 * q3) / 30.0
+    u, v = -20.0 * p1 - p3, -20.0 * q1 - q3
+    # the coefficients of Omega on the rows of _magnus_basis
+    coefficients = np.empty((11, n))
+    coefficients[:2] = p1 + p3 / 12.0, q1 + q3 / 12.0
+    coefficients[2:5] = u * q2 - v * p2, u * e - c * p2, v * e - c * q2
+    coefficients[5:] = c / -60.0 * np.array([u * p1, u * q1, v * p1, v * q1, c * p1, c * q1])
+    coefficients[2:] /= 240.0
+    omega = (coefficients.T @ _magnus_basis(spec.topology, base.tobytes())).reshape(n, 4, 4, 4)
     for lo in range(0, n, _STACK_STEPS):
-        part = slice(lo, lo + _STACK_STEPS)
-        stack = _dense(_block_expm(diag[part], feed[part], k, 1.0 / n))
-        for exp_j in stack:
+        part = omega[lo:lo + _STACK_STEPS]
+        for exp_j in _dense(_block_expm(part[:, 0], part[:, 1:], k, 1.0)):
             y = exp_j @ y
     return y
 
@@ -356,12 +389,12 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
                     t1: float, tol: float) -> np.ndarray:
     """Advance ``y`` over one linear-flux part [t0, t1] of a sampled envelope.
 
-    Fourth-order Magnus passes (:func:`_cf4`) verified by a halved-step
+    Sixth-order Magnus passes (:func:`_magnus`) verified by a halved-step
     Richardson check; on failure the step count jumps to the resolution
-    predicted by fourth-order convergence before re-checking. The scheme is
-    exact for a constant generator, and its error grows as h^4 times the
+    predicted by sixth-order convergence before re-checking. The scheme is
+    exact for a constant generator, and its error grows as h^6 times the
     square of the change V of the graded generator across the part, so the
-    first pass takes ``_FIRST_STEPS * sqrt(V) * tol**(-1/4)`` steps. ``base``
+    first pass takes ``_FIRST_STEPS * V**(1/3) * tol**(-1/6)`` steps. ``base``
     and ``y`` (shape ``(4(k+1), m)``) are in r; V and the check are measured
     on the column-stacked components.
     """
@@ -369,18 +402,18 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
     amp, w = _graded_drive(spec, t0, t1, np.array([0.0, 1.0]))
     change = w[1] * (base + amp[1] * drive) - w[0] * (base + amp[0] * drive)
     change = _FROM_R @ change @ _TO_R
-    n = max(1, int(np.ceil(_FIRST_STEPS * math.sqrt(np.linalg.norm(change, 1)) * tol ** -0.25)))
-    coarse = _cf4(spec, base, y, t0, t1, n)
+    n = max(1, int(np.ceil(_FIRST_STEPS * np.linalg.norm(change, 1) ** (1 / 3) * tol ** (-1 / 6))))
+    coarse = _magnus(spec, base, y, t0, t1, n)
     for _ in range(17):
-        fine = _cf4(spec, base, y, t0, t1, 2 * n)
+        fine = _magnus(spec, base, y, t0, t1, 2 * n)
         err = np.max(np.abs(_rebase(_FROM_R, fine - coarse)))
         if err <= tol:
             return fine
         # square-root envelope onsets converge slower and re-boost
-        boost = max(2.0, min(64.0, (err / tol) ** 0.25))
+        boost = max(2.0, min(64.0, (err / tol) ** (1 / 6)))
         n, doubled = int(np.ceil(n * boost)), 2 * n
         # a boost of exactly 2 makes the fine pass the next coarse one
-        coarse = fine if n == doubled else _cf4(spec, base, y, t0, t1, n)
+        coarse = fine if n == doubled else _magnus(spec, base, y, t0, t1, n)
     raise ConvergenceError(
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 

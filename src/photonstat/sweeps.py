@@ -211,14 +211,19 @@ def _two_line_row(topology: TwoLine, Ts: list[float], k: int | None,
     return _fixed_row(topology, Ts, [_argmax_p1(topology, T)[0] for T in Ts], k, checks, "N*")
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Up to ``workers`` processes, one per task and per CPU: a pool starts them all at once."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _run_points(worker, points, workers: int) -> tuple:
-    """``worker(*point)`` for every point, in order, on up to ``workers`` processes.
+    """``worker(*point)`` for every point, in order, on :func:`_pool_size`
+    processes; with one, the points run here.
 
     Results do not depend on ``workers``; ``worker`` and the points must be
-    picklable when a pool runs. The pool's processes all start at once, so
-    it has at most one per point and per CPU; with one, the points run here.
+    picklable when a pool runs.
     """
-    workers = min(workers, len(points), os.cpu_count() or 1)
+    workers = _pool_size(workers, len(points))
     if workers > 1:
         # imported here: the pool's modules add ~20 ms to every package import
         from concurrent.futures import ProcessPoolExecutor

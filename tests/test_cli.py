@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -355,6 +356,25 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert main(GOLDEN[name] + ["--threads", threads, "--out", str(out)]) == 0
         assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+# SHA-256 of each figure preset's CSV; square pulses only, so a change to the
+# sampled-envelope path must leave every one of them as it is.
+PRESET_SHA256 = {
+    "fig2": "6f7ce5db5bc1e6231ade766254d1aad03db38750dcf56fe531c07cc22440e5c0",
+    "fig3": "ce974cc17ee727fdc85c3a7127df3f1acb9c8ece7e4dd94586c6dfbbd03829de",
+    "fig4": "4af6f7877ea01a04de2cf2eaa4b0a33d5e917294466b58edf6a1a21239dc62e2",
+    "fig5": "7fd39f36083a6baa01b539a8cc008e681472a4a000c1377dfc238e5cdcf46cb4",
+}
+
+
+class TestPresetPins:
+    @pytest.mark.parametrize("preset, threads", [("fig2", "1"), ("fig3", "1"), ("fig4", "1"),
+                                                 ("fig5", "1"), ("fig5", "2")])
+    def test_preset_csv_is_pinned(self, tmp_path, preset, threads):
+        out = tmp_path / f"{preset}.csv"
+        assert main(["sweep", "--preset", preset, "--threads", threads, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_SHA256[preset]
 
 
 class TestTraj:

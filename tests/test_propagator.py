@@ -21,8 +21,8 @@ from photonstat.propagator import (
     _FROM_R,
     _TO_R,
     _block_expm,
-    _cf4,
     _dense,
+    _magnus,
     _real,
     advance,
     real_parts,
@@ -211,19 +211,19 @@ class TestSampledIntegrator:
             got = advance(RAMP, y, t0, t1, 1e-9, resolved)
             assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_cf4_is_fourth_order_on_the_onset(self):
+    def test_magnus_is_sixth_order_on_the_onset(self):
         # the onset [0, 0.05] has a square-root amplitude in t; in the graded
-        # variable halving the step still divides the difference by ~16
-        # _cf4 works in the real coordinates r of the propagator
+        # variable halving the step still divides the difference by ~64
+        # _magnus works in the real coordinates r of the propagator
         static, _, njump = real_parts(RAMP.topology)
         k = 3
         level0 = np.zeros(4 * (k + 1))
         level0[0] = 1.0
         for base, y in ((static, np.eye(4)), (static - njump, level0)):
-            runs = [_cf4(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
+            runs = [_magnus(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
             coarse = np.max(np.abs(runs[1] - runs[0]))
             fine = np.max(np.abs(runs[2] - runs[1]))
-            assert coarse / fine >= 12
+            assert coarse / fine >= 48
 
     def test_small_nonzero_end_is_graded(self, monkeypatch):
         # [0.5, 1] falls from 30 to 2e-3: its amplitude has a near-infinite
@@ -234,36 +234,52 @@ class TestSampledIntegrator:
 
         def recording_cf4(spec, base, y, t0, t1, n):
             steps.append((t0, t1, n))
-            return _cf4(spec, base, y, t0, t1, n)
+            return _magnus(spec, base, y, t0, t1, n)
 
-        monkeypatch.setattr(propagator, "_cf4", recording_cf4)
+        monkeypatch.setattr(propagator, "_magnus", recording_cf4)
         moments = ps.photon_statistics(spec)
         verify_dual(spec, moments)
         tail_steps = [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)]
         assert tail_steps and max(tail_steps) < 1000
 
-    def test_magnus_exponent_keeps_hierarchy_form(self):
-        # one step is exp(1/2 (G1 + G2) + sqrt(3)/12 [G2, G1]) of the dense
-        # hierarchy generators at the two Gauss nodes of the graded onset
+    def test_magnus_exponent_keeps_hierarchy_form(self, monkeypatch):
+        # one step is exp(Omega) of the three-node sixth-order exponent, written
+        # out here on the dense hierarchy generators at the Gauss nodes of the
+        # graded onset: Omega reaches the third subdiagonal and no further
         static, drive, njump = real_parts(RAMP.topology)
-        k = 3
-        nodes = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+        k = 5
+        nodes = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
         amp, w = propagator._graded_drive(RAMP, 0.0, 0.05, nodes)
         y = np.random.default_rng(5).normal(size=(4 * (k + 1), 4))
+        kernel, exponents = propagator._block_expm, []
+
+        def recording(diag, feed, k, dt):
+            bands = [diag[0]] + list(feed[0])
+            exponents.append(dt * sum(np.kron(np.eye(k + 1, k=-j), band)
+                                      for j, band in enumerate(bands)))
+            return kernel(diag, feed, k, dt)
+
+        def bracket(a, b):
+            return a @ b - b @ a
+
+        monkeypatch.setattr(propagator, "_block_expm", recording)
         for base in (static, static - njump):
-            g1, g2 = (block_hierarchy(w[m] * (base + amp[m] * drive), w[m] * njump, k)
-                      for m in (0, 1))
-            commutator = g2 @ g1 - g1 @ g2
-            for i in range(2, k + 1):
-                assert not commutator[4 * i:4 * i + 4, 4 * (i - 2):4 * i - 4].any()
-            omega = 0.5 * (g1 + g2) + np.sqrt(3.0) / 12.0 * commutator
-            got = _cf4(RAMP, base, y, 0.0, 0.05, 1)
+            g1, g2, g3 = (block_hierarchy(w[m] * (base + amp[m] * drive), w[m] * njump, k)
+                          for m in range(3))
+            a1, a2, a3 = g2, np.sqrt(15.0) / 3.0 * (g3 - g1), 10.0 / 3.0 * (g3 - 2.0 * g2 + g1)
+            c1 = bracket(a1, a2)
+            c2 = -bracket(a1, 2.0 * a3 + c1) / 60.0
+            omega = a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+            for i in range(4, k + 1):
+                assert not omega[4 * i:4 * i + 4, :4 * (i - 3)].any()
+            got = _magnus(RAMP, base, y, 0.0, 0.05, 1)
             assert np.max(np.abs(got - expm(omega) @ y)) < 1e-12
+            assert np.max(np.abs(exponents[-1] - omega)) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
     def test_pass_hands_the_kernel_one_slice_per_step(self, n, kernel_calls):
         static, _, _ = real_parts(RAMP.topology)
-        _cf4(RAMP, static, np.eye(4), 0.0, 0.05, n)
+        _magnus(RAMP, static, np.eye(4), 0.0, 0.05, n)
         assert sum(len(stack) for stack, _, _ in kernel_calls) == n
         assert len(kernel_calls) == -(-n // propagator._STACK_STEPS)
 
@@ -409,6 +425,25 @@ class TestBlockExponential:
                 stack = _block_expm(diag, feed, k, 1.0)
                 for i in rng.permutation(24)[:8]:
                     assert np.array_equal(stack[i], _block_expm(diag[i], feed[i], k, 1.0))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_feed_stack_of_subdiagonal_bands(self, k):
+        rng = np.random.default_rng(10 + k)
+        diag, feed = norm_spread_stack(ps.TwoLine(a=0.3), 12, rng)
+        bands = np.zeros((12, 3, 4, 4))
+        bands[:, 0] = feed
+        # zero higher bands: bit for bit the single-band call
+        assert np.array_equal(_block_expm(diag, bands, k, 1.0), _block_expm(diag, feed, k, 1.0))
+        scale = np.abs(feed).max((1, 2))[:, None, None, None]
+        bands[:, 1:] = rng.normal(size=(12, 2, 4, 4)) * scale
+        got = _block_expm(diag, bands, k, 1.0)
+        # bands beyond level k enter only the norm, which reads their magnitudes
+        flipped = bands.copy()
+        flipped[:, k:] *= -1.0
+        assert np.array_equal(_block_expm(diag, flipped, k, 1.0), got)
+        for d, b, g in zip(diag, bands, _dense(got)):
+            ref = expm(sum(np.kron(np.eye(k + 1, k=-j), band) for j, band in enumerate([d, *b])))
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 16])
     def test_dense_matrix_is_the_block_toeplitz_of_the_column(self, k):

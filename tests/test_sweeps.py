@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import photonstat as ps
-from photonstat import counting, propagator, sweeps
-from photonstat.cli import main
+from photonstat import cli, counting, propagator, sweeps
+from photonstat.cli import RunConfig, main
 from photonstat.errors import NumericalError, SpecError
 from photonstat.liouville import drive_coefficient
 from photonstat.sweeps import _golden_max
@@ -411,3 +411,28 @@ class TestPoolSize:
         assert main(args + ["--threads", "100000", "--out", str(many)]) == 0
         assert pools == [16]
         assert one.read_bytes() == many.read_bytes()
+
+    @pytest.mark.parametrize("threads, n_traj, cpus, parts", [
+        (1, 50, 16, 1), (3, 50, 16, 3), (20_000, 50, 4, 4), (20_000, 50, None, 1),
+        (8, 2, 16, 2), (16, 50, 16, 16),
+    ])
+    def test_traj_makes_one_range_per_pool_process(self, monkeypatch, threads, n_traj, cpus,
+                                                   parts):
+        # each range builds its pieces and streams anew, so there are no more
+        # ranges than processes; the ranges are recorded and run here
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        splits = []
+
+        def recording(worker, points, workers):
+            splits.append(([(lo, hi) for _, _, lo, hi, _ in points], workers))
+            return tuple(worker(*point) for point in points)
+
+        monkeypatch.setattr(cli, "_run_points", recording)
+        config = RunConfig(T=0.1, N=20.0, n_traj=n_traj, seed=7, threads=threads)
+        hist = cli._run_trajectories(config, config.drive_spec())
+        (ranges, workers), = splits
+        assert len(ranges) == parts == sweeps._pool_size(workers, len(ranges))
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n_traj and all(hi > lo for lo, hi in ranges)
+        whole = ps.sample_trajectories(config.drive_spec(), n_traj, seed=7)
+        assert np.array_equal(hist, whole.counts)
