@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -337,6 +339,49 @@ class TestSampledIntegrator:
                     assert len(inside) > 1
                     assert max(p.length for p in inside) <= _MAX_STEP * (1 + 1e-12)
             assert next(pieces, None) is None
+
+
+SAMPLED_PINS = {
+    "ramp": RAMP,
+    "triangle": ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0))),
+    # three interior knots
+    "two_line": ps.DriveSpec(ps.SampledPulse((0.0, 0.1, 0.25, 0.4, 0.6),
+                                             (0.0, 20.0, 10.0, 25.0, 0.0)), ps.TwoLine(a=0.5)),
+    "graded_tail": ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (1e-12, 30.0, 2e-3)),
+                                ps.SingleLine(delta=2.0)),
+    "flat_top": ps.DriveSpec(ps.SampledPulse((0.0, 0.1, 0.2, 0.4, 0.5),
+                                             (0.0, 20.0, 20.0, 10.0, 0.0))),
+}
+# SHA-256 of the bytes of moments, probabilities, cutoff_k and tail_bound
+SAMPLED_SHA256 = {
+    ("ramp", "moment-inversion"): "593d7bb80fb0f909beb395e3d2602d6d6754880d84e6ce3cda4b8ea684f64a86",
+    ("ramp", "jump-counting"): "8ba37105d6c0a31d427072a873cd64972ba1415c4d1d5cc7009bc0ed695a4fdb",
+    ("triangle", "moment-inversion"): "90d83059fd7b798d8df56e93e23e7a18be3aacd6a9de2fc0b258be3c7df5bb5a",
+    ("triangle", "jump-counting"): "a50401509c944b176ca02110e936a4adf7e5d1e2f08f8852177de846f8542faf",
+    ("two_line", "moment-inversion"): "ef2a29cb951ed27645b636cb17bc9bd8caefc52d2f798eaa697741c74ec2a8da",
+    ("two_line", "jump-counting"): "0305f0ba2f1dec585735784696621d1e2fd5031de07216ed5d8e1a7cf11b90db",
+    ("graded_tail", "moment-inversion"):
+        "c8156dd2445091c6530beb693d349cc653d48a6d655dff920d88af42ed46e419",
+    ("graded_tail", "jump-counting"): "c35b1882204cee3bd1154d9fb0d9034fa015dd3d4d7286a79f2157607ffe0a2b",
+    ("flat_top", "moment-inversion"): "6f009bfde2f9f054702b6f9adca71710095498ad726ab96e5e53bfe44889868d",
+    ("flat_top", "jump-counting"): "b2ba028559a144451e6da39cac6c75757f58d2e364c8375125a89a79d9c9de6e",
+}
+RAMP_PROPAGATOR_SHA256 = "9ba89ae210e6e5e67d7693f43e748bb086c0b47a9aac78afbc1f6d45ea9ee6ba"
+
+
+class TestSampledPins:
+    """Every output bit of sampled envelopes, on both routes, pinned."""
+
+    @pytest.mark.parametrize("name, method", list(SAMPLED_SHA256))
+    def test_statistics_are_pinned_bit_for_bit(self, name, method):
+        stats = ps.photon_statistics(SAMPLED_PINS[name], method=method)
+        data = (stats.moments.tobytes() + stats.probabilities.tobytes()
+                + struct.pack("<qd", stats.cutoff_k, stats.tail_bound))
+        assert hashlib.sha256(data).hexdigest() == SAMPLED_SHA256[name, method]
+
+    def test_propagator_is_pinned_bit_for_bit(self):
+        prop = ps.propagator_between(RAMP, 0.0, 1.0)
+        assert hashlib.sha256(prop.tobytes()).hexdigest() == RAMP_PROPAGATOR_SHA256
 
 
 TOPOLOGIES = [ps.SingleLine(), ps.SingleLine(delta=0.7), ps.TwoLine(a=0.3, delta=-1.2)]
