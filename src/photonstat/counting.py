@@ -21,11 +21,11 @@ Two independent routes produce the count distribution over the window:
 Both hierarchies are block lower-bidiagonal linear systems, advanced up to
 the pulse end: square pulses of one topology, at any widths, as one stack
 of exact exponentials whose first block columns hold the level states
-(:func:`_pulse_stack`), and a sampled envelope by
+(:func:`_pulse_stack`), and a sampled envelope per rung by
 :func:`photonstat.propagator.advance` (exact on flat parts, sixth-order
-Magnus verified by step halving where it varies). The undriven tail from
-the pulse end to ``t_end`` adds to every level trace in closed form
-(:func:`_end_traces`). A row of square pulses (a sweep row) climbs the
+Magnus verified by step halving where it varies, first checks stacked). The
+undriven tail from the pulse end to ``t_end`` adds to every level trace in
+closed form (:func:`_end_traces`). A row of square pulses (a sweep row) climbs the
 cutoff ladder together: one stacked hierarchy per rung over its points still
 short of their criterion, settled as arrays. The exact ``P_1`` of
 :func:`one_photon_probability` is the k = 1 jump-counting rung of the stack,

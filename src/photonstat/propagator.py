@@ -8,8 +8,9 @@ interval is one exact matrix exponential of the block generator, formed
 from the interval's drive amplitude as ``static + amplitude * drive``.
 Where a sampled envelope varies, the part is integrated with the
 three-node Gauss sixth-order Magnus scheme (one exponential per step, of a
-generator three block subdiagonals deep), with a halved-step Richardson
-check refining until the difference is below tolerance. The counting
+generator three block subdiagonals deep, formed up front for the first
+halved-step Richardson check of every part of a span as one stack),
+refining until the difference is below tolerance. The counting
 routes of :mod:`photonstat.counting` stack square pulses of any widths into
 one exponential call of their own, read the level states off its first
 block column, and add the undriven tail in closed form. The propagator of the
@@ -29,7 +30,7 @@ computes that column by truncated-Taylor scaling and squaring (Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) in the algebra of 4x4 matrix
 polynomials truncated at level k, so a product costs one ``4 x 4(k+1)`` by
 ``4(k+1) x 4(k+1)`` matrix product instead of a dense ``4(k+1)``-cube one,
-and returns it; only :func:`advance` and its Magnus passes expand it to the
+and returns it; only :func:`advance` and its Magnus steps expand it to the
 matrix (:func:`_dense`).
 
 The kernel's work arrays (padded power rows, one Toeplitz matrix, the Taylor
@@ -47,8 +48,8 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, reduce
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -77,17 +78,17 @@ STEP_TOLERANCE = 1e-9
 TRACE_DRIFT = 1e-12
 # Gauss-Legendre nodes of a step of the sixth-order Magnus scheme (Blanes,
 # Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and a_m = h sum_j
-# _ALPHA[m, j] A_j over the generators A_j at the nodes (see _magnus).
+# _ALPHA[m, j] A_j over the generators A_j at the nodes (see _magnus_steps).
 _NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _ALPHA = np.array([[0, 3, 0], [-math.sqrt(15.0), 0, math.sqrt(15.0)], [10, -20, 10]]) / 3.0
-# Steps, one exponential each, per stacked kernel call. Results do not
-# depend on it; a call has a fixed cost of ~30 small numpy operations, and at
-# k = 16 each exponential takes 79 kB of work buffer and 37 kB of result.
+# Steps per kernel call on an advance's stack of first-check passes, one
+# exponential each; results do not depend on it. A call costs ~30 small numpy
+# operations; at k = 16 an exponential takes 79 kB of buffer, 37 kB of result.
 _STACK_STEPS = 32
 # First-pass step count per V^(1/3) tol^(-1/6) (see _integrate_part). On 671
 # linear parts of 96 bench envelopes, 0.2/0.26/0.3/0.35/0.4 pass the first
 # halved-step check on 499/599/644/668/671 parts, in 1636/1459/1435/1447/1516
-# kernel calls; 0.32 makes 1432 calls, but 3 % more slices.
+# kernel calls of one pass each; 0.32 makes 1432 calls, but 3 % more slices.
 _FIRST_STEPS = 0.3
 # End-flux ratio below which a linear-flux part is graded (see _graded_drive).
 _GRADE_RATIO = 1e-3
@@ -332,7 +333,7 @@ def _graded_drive(spec: DriveSpec, t0: float, t1: float, s: np.ndarray):
 @lru_cache(maxsize=64)
 def _magnus_basis(topology: Topology, base: bytes) -> np.ndarray:
     """The 11 generators whose scalar combinations are the exponents of
-    :func:`_magnus`, as rows of bands 0-3 (shape ``(11, 64)``): K (diagonal
+    :func:`_magnus_steps`, as rows of bands 0-3 (shape ``(11, 64)``): K (diagonal
     ``base``, feed J), X (diagonal ``drive``), Z1 = [K, X], Z2 = [K, Z1],
     Z3 = [X, Z1], [K, Z2], [K, Z3], [X, Z2], [X, Z3], [Z1, Z2], [Z1, Z3].
     None reaches past band 3, so levels 0-3 of the dense matrices hold them."""
@@ -347,12 +348,11 @@ def _magnus_basis(topology: Topology, base: bytes) -> np.ndarray:
     return basis
 
 
-def _magnus(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
-            n: int) -> np.ndarray:
-    """One pass of ``n`` sixth-order Magnus steps over the linear-flux part [t0, t1].
+def _magnus_steps(spec: DriveSpec, base: np.ndarray, k: int, passes):
+    """The step matrices, in r, of Magnus passes ``passes = [(t0, t1, n), ...]``.
 
     Each step of ``h = 1/n`` in the graded variable s of :func:`_graded_drive`
-    applies one exponential of (Blanes, Casas & Ros, BIT 40, 434 (2000))::
+    is one exponential of (Blanes, Casas & Ros, BIT 40, 434 (2000))::
 
         a1 = h A2,  a2 = sqrt(15) h/3 (A3 - A1),  a3 = 10 h/3 (A3 - 2 A2 + A1)
         C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1]
@@ -362,50 +362,72 @@ def _magnus(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: flo
     blocks ``base`` fed by ``J = jump_superop(spec)`` and X diagonal blocks
     ``drive``. So each a_m is ``p K + q X``, Omega a scalar combination of
     the generators of :func:`_magnus_basis`, and each step one slice of
-    :func:`_block_expm`. ``base``, ``drive``, ``J`` and ``y`` are in r.
+    :func:`_block_expm`. The passes are formed together, each step bit for bit
+    as in its pass alone, and exponentiated in stacks of ``_STACK_STEPS``
+    steps, each expanded (:func:`_dense`) when the caller reaches it.
     """
-    k = len(y) // 4 - 1
-    amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _NODES) / n)
-    # a_m = p_m K + q_m X, each weight of shape (n,)
-    p1, p2, p3, q1, q2, q3 = (np.stack([w, w * amp]) @ (_ALPHA.T / n)).swapaxes(1, 2).reshape(6, n)
+    weights = []
+    for t0, t1, n in passes:  # each with its own _ALPHA / n, the rest elementwise or by row
+        amp, w = _graded_drive(spec, t0, t1, (np.arange(n)[:, None] + _NODES) / n)
+        weights.append(np.stack([w, w * amp]) @ (_ALPHA.T / n))
+    # a_m = p_m K + q_m X, each weight of shape (steps,)
+    p1, p2, p3, q1, q2, q3 = np.concatenate(weights, 1).swapaxes(1, 2).reshape(6, -1)
     # C1 = c Z1, C2 = e Z1 - c/60 (p1 Z2 + q1 Z3), -20 a1 - a3 + C1 = u K + v X + c Z1
     c, e = p1 * q2 - q1 * p2, (q1 * p3 - p1 * q3) / 30.0
     u, v = -20.0 * p1 - p3, -20.0 * q1 - q3
     # the coefficients of Omega on the rows of _magnus_basis
-    coefficients = np.empty((11, n))
+    coefficients = np.empty((11, len(p1)))
     coefficients[:2] = p1 + p3 / 12.0, q1 + q3 / 12.0
     coefficients[2:5] = u * q2 - v * p2, u * e - c * p2, v * e - c * q2
     coefficients[5:] = c / -60.0 * np.array([u * p1, u * q1, v * p1, v * q1, c * p1, c * q1])
     coefficients[2:] /= 240.0
-    omega = (coefficients.T @ _magnus_basis(spec.topology, base.tobytes())).reshape(n, 4, 4, 4)
-    for lo in range(0, n, _STACK_STEPS):
-        part = omega[lo:lo + _STACK_STEPS]
-        for exp_j in _dense(_block_expm(part[:, 0], part[:, 1:], k, 1.0)):
-            y = exp_j @ y
-    return y
+    basis = _magnus_basis(spec.topology, base.tobytes())
+    omega = coefficients.T @ basis
+    for end, (_, _, n) in zip(accumulate(n for _, _, n in passes), passes):
+        if n == 1:  # alone, numpy takes a contiguous one-row product as a vector product
+            omega[end - 1] = coefficients[:, end - 1].copy() @ basis
+    for lo in range(0, len(omega), _STACK_STEPS):
+        stack = omega[lo:lo + _STACK_STEPS].reshape(-1, 4, 4, 4)
+        yield from _dense(_block_expm(stack[:, 0], stack[:, 1:], k, 1.0))
 
 
-def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
-                    t1: float, tol: float) -> np.ndarray:
-    """Advance ``y`` over one linear-flux part [t0, t1] of a sampled envelope.
+def _chain(steps, y: np.ndarray, n: int) -> np.ndarray:
+    """``y`` advanced by the next ``n`` matrices of ``steps``, in order."""
+    return reduce(lambda y, step: step @ y, islice(steps, n), y)
 
-    Sixth-order Magnus passes (:func:`_magnus`) verified by a halved-step
-    Richardson check; on failure the step count jumps to the resolution
-    predicted by sixth-order convergence before re-checking. The scheme is
-    exact for a constant generator, and its error grows as h^6 times the
-    square of the change V of the graded generator across the part, so the
-    first pass takes ``_FIRST_STEPS * V**(1/3) * tol**(-1/6)`` steps. ``base``
-    and ``y`` (shape ``(4(k+1), m)``) are in r; V and the check are measured
-    on the column-stacked components.
-    """
+
+def _magnus(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
+            n: int) -> np.ndarray:
+    """``y`` advanced by one pass of ``n`` steps of :func:`_magnus_steps` over [t0, t1]."""
+    return _chain(_magnus_steps(spec, base, len(y) // 4 - 1, [(t0, t1, n)]), y, n)
+
+
+def _first_count(spec: DriveSpec, base: np.ndarray, t0: float, t1: float, tol: float) -> int:
+    """Steps of the first coarse pass on [t0, t1] (:func:`_integrate_part`); checks the flux."""
     _, drive, _ = real_parts(spec.topology)
     amp, w = _graded_drive(spec, t0, t1, np.array([0.0, 1.0]))
     change = w[1] * (base + amp[1] * drive) - w[0] * (base + amp[0] * drive)
-    change = _FROM_R @ change @ _TO_R
-    n = max(1, int(np.ceil(_FIRST_STEPS * np.linalg.norm(change, 1) ** (1 / 3) * tol ** (-1 / 6))))
-    coarse = _magnus(spec, base, y, t0, t1, n)
+    norm = np.linalg.norm(_FROM_R @ change @ _TO_R, 1)
+    return max(1, int(np.ceil(_FIRST_STEPS * norm ** (1 / 3) * tol ** (-1 / 6))))
+
+
+def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
+                    t1: float, tol: float, n: int, steps) -> np.ndarray:
+    """Advance ``y`` over one linear-flux part [t0, t1] of a sampled envelope.
+
+    Sixth-order Magnus passes verified by a halved-step Richardson check; on
+    failure the step count jumps to the resolution predicted by sixth-order
+    convergence before re-checking, one pass at a time (:func:`_magnus`). The
+    scheme is exact for a constant generator, and its error grows as h^6 times
+    the square of the change V of the graded generator across the part, so
+    the first check compares ``n = _FIRST_STEPS * V**(1/3) * tol**(-1/6)``
+    (:func:`_first_count`) with ``2 n`` steps, which ``steps`` yields next.
+    ``base`` and ``y`` (shape ``(4(k+1), m)``) are in r; V and the check are
+    measured on the column-stacked components.
+    """
+    coarse = _chain(steps, y, n)
     for _ in range(17):
-        fine = _magnus(spec, base, y, t0, t1, 2 * n)
+        fine = _chain(steps, y, 2 * n)
         err = np.max(np.abs(_rebase(_FROM_R, fine - coarse)))
         if err <= tol:
             return fine
@@ -414,6 +436,7 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
         n, doubled = int(np.ceil(n * boost)), 2 * n
         # a boost of exactly 2 makes the fine pass the next coarse one
         coarse = fine if n == doubled else _magnus(spec, base, y, t0, t1, n)
+        steps = _magnus_steps(spec, base, len(y) // 4 - 1, [(t0, t1, 2 * n)])
     raise ConvergenceError(
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 
@@ -429,7 +452,7 @@ def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
     states. States are column-stacked on both ends and propagated in r,
     where a Hermitian state stays real. Each constant-flux interval of the
     window is one exact exponential; each linear-flux part is converged to
-    ``tol``.
+    ``tol``, all first checks formed up front, after every flux is checked.
     """
     y = np.asarray(y)
     k = len(y) // 4 - 1
@@ -439,12 +462,14 @@ def advance(spec: DriveSpec, y: np.ndarray, t0: float, t1: float, tol: float,
     static, drive, jump = real_parts(spec.topology)
     if resolved:
         static = static - jump
-    for lo, hi, amp in drive_intervals(spec):
-        a, b = max(lo, t0), min(hi, t1)
-        if b <= a:
-            continue
+    spans = [(a, b, amp) for lo, hi, amp in drive_intervals(spec)
+             if (a := max(lo, t0)) < (b := min(hi, t1))]
+    first = {(a, b): _first_count(spec, static, a, b, tol) for a, b, amp in spans if amp is None}
+    steps = _magnus_steps(spec, static, k, [(a, b, m) for (a, b), n in first.items()
+                                            for m in (n, 2 * n)])
+    for a, b, amp in spans:
         if amp is None:
-            r = _integrate_part(spec, static, r, a, b, tol)
+            r = _integrate_part(spec, static, r, a, b, tol, first[a, b], steps)
         else:
             r = _dense(_block_expm(static + amp * drive, jump, k, b - a)) @ r
     return _rebase(_FROM_R, r).reshape(y.shape)

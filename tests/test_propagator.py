@@ -25,6 +25,7 @@ from photonstat.propagator import (
     _block_expm,
     _dense,
     _magnus,
+    _magnus_steps,
     _real,
     advance,
     real_parts,
@@ -234,11 +235,11 @@ class TestSampledIntegrator:
                             ps.SingleLine(delta=2.0))
         steps = []
 
-        def recording_cf4(spec, base, y, t0, t1, n):
-            steps.append((t0, t1, n))
-            return _magnus(spec, base, y, t0, t1, n)
+        def recording(spec, base, k, passes):
+            steps.extend(passes)
+            return _magnus_steps(spec, base, k, passes)
 
-        monkeypatch.setattr(propagator, "_magnus", recording_cf4)
+        monkeypatch.setattr(propagator, "_magnus_steps", recording)
         moments = ps.photon_statistics(spec)
         verify_dual(spec, moments)
         tail_steps = [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)]
@@ -284,6 +285,73 @@ class TestSampledIntegrator:
         _magnus(RAMP, static, np.eye(4), 0.0, 0.05, n)
         assert sum(len(stack) for stack, _, _ in kernel_calls) == n
         assert len(kernel_calls) == -(-n // propagator._STACK_STEPS)
+
+    def test_first_checks_are_one_stack_of_kernel_calls(self, monkeypatch, kernel_calls):
+        # both parts of the triangle pass their first check at k = 4, so the
+        # advance forms both passes of each once and cuts them into full stacks
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0)))
+        static, _, _ = real_parts(spec.topology)
+        parts, tol = [(0.0, 0.3), (0.3, 0.6)], 1e-9
+        first = [propagator._first_count(spec, static, a, b, tol) for a, b in parts]
+        formed = []
+
+        def recording(spec, base, k, passes):
+            formed.append(list(passes))
+            return _magnus_steps(spec, base, k, passes)
+
+        monkeypatch.setattr(propagator, "_magnus_steps", recording)
+        y = np.zeros(4 * 5)
+        y[0] = 1.0
+        advance(spec, y, 0.0, 0.6, tol)
+        assert formed == [[(a, b, m) for (a, b), n in zip(parts, first) for m in (n, 2 * n)]]
+        slices = sum(len(stack) for stack, _, _ in kernel_calls)
+        assert slices == sum(3 * n for n in first)
+        assert len(kernel_calls) == -(-slices // propagator._STACK_STEPS)
+
+    def test_stacked_passes_equal_each_pass_alone(self):
+        # one-step passes included: alone, numpy forms their exponent by a
+        # vector product, which rounds differently from a matrix product; a
+        # random base fills the basis, so that every rounding shows
+        static, _, njump = real_parts(ps.TwoLine(a=0.3))
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.1, 0.25, 0.4), (0.0, 40.0, 39.9, 0.0)),
+                            ps.TwoLine(a=0.3))
+        rng = np.random.default_rng(12)
+        k = 4
+        y = rng.normal(size=(4 * (k + 1), 2))
+        passes = [(a, b, n) for a, b in [(0.0, 0.1), (0.1, 0.25), (0.25, 0.4)]
+                  for n in (1, 2, 1, 17, 40)]
+        for base in (static, static - njump, rng.normal(size=(4, 4))):
+            steps = _magnus_steps(spec, base, k, passes)
+            for t0, t1, n in passes:
+                assert np.array_equal(propagator._chain(steps, y, n),
+                                      _magnus(spec, base, y, t0, t1, n))
+            assert next(steps, None) is None
+
+    def test_graded_tail_keeps_its_pass_schedule(self, monkeypatch):
+        # the tail [0.5, 1] fails its first two checks; stacking the first
+        # check of every part leaves the refinements as they were
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (1e-12, 30.0, 2e-3)),
+                            ps.SingleLine(delta=2.0))
+        steps = []
+
+        def recording(spec, base, k, passes):
+            steps.extend(passes)
+            return _magnus_steps(spec, base, k, passes)
+
+        monkeypatch.setattr(propagator, "_magnus_steps", recording)
+        ps.photon_statistics(spec, method="jump-counting", k=4)
+        assert [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)] == [17, 34, 68, 136]
+
+    def test_negative_part_rejected_before_any_work(self, kernel_calls):
+        # the second part goes negative: no part of the envelope is integrated
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (0.0, 5.0, -3.0)))
+        message = r"^drive flux must be non-negative, got N_in = -3\.0$"
+        for method in ("moment-inversion", "jump-counting"):
+            with pytest.raises(SpecError, match=message):
+                ps.photon_statistics(spec, method=method)
+        with pytest.raises(SpecError, match=message):
+            ps.propagator_between(spec, 0.0, 1.0)
+        assert kernel_calls == []
 
     @pytest.mark.parametrize("spec", [
         ps.DriveSpec(ps.SampledPulse((0.0, 0.3, 0.6), (0.0, 8.0, 0.0))),
@@ -354,17 +422,26 @@ SAMPLED_PINS = {
 }
 # SHA-256 of the bytes of moments, probabilities, cutoff_k and tail_bound
 SAMPLED_SHA256 = {
-    ("ramp", "moment-inversion"): "593d7bb80fb0f909beb395e3d2602d6d6754880d84e6ce3cda4b8ea684f64a86",
-    ("ramp", "jump-counting"): "8ba37105d6c0a31d427072a873cd64972ba1415c4d1d5cc7009bc0ed695a4fdb",
-    ("triangle", "moment-inversion"): "90d83059fd7b798d8df56e93e23e7a18be3aacd6a9de2fc0b258be3c7df5bb5a",
-    ("triangle", "jump-counting"): "a50401509c944b176ca02110e936a4adf7e5d1e2f08f8852177de846f8542faf",
-    ("two_line", "moment-inversion"): "ef2a29cb951ed27645b636cb17bc9bd8caefc52d2f798eaa697741c74ec2a8da",
-    ("two_line", "jump-counting"): "0305f0ba2f1dec585735784696621d1e2fd5031de07216ed5d8e1a7cf11b90db",
+    ("ramp", "moment-inversion"):
+        "593d7bb80fb0f909beb395e3d2602d6d6754880d84e6ce3cda4b8ea684f64a86",
+    ("ramp", "jump-counting"):
+        "8ba37105d6c0a31d427072a873cd64972ba1415c4d1d5cc7009bc0ed695a4fdb",
+    ("triangle", "moment-inversion"):
+        "90d83059fd7b798d8df56e93e23e7a18be3aacd6a9de2fc0b258be3c7df5bb5a",
+    ("triangle", "jump-counting"):
+        "a50401509c944b176ca02110e936a4adf7e5d1e2f08f8852177de846f8542faf",
+    ("two_line", "moment-inversion"):
+        "ef2a29cb951ed27645b636cb17bc9bd8caefc52d2f798eaa697741c74ec2a8da",
+    ("two_line", "jump-counting"):
+        "0305f0ba2f1dec585735784696621d1e2fd5031de07216ed5d8e1a7cf11b90db",
     ("graded_tail", "moment-inversion"):
         "c8156dd2445091c6530beb693d349cc653d48a6d655dff920d88af42ed46e419",
-    ("graded_tail", "jump-counting"): "c35b1882204cee3bd1154d9fb0d9034fa015dd3d4d7286a79f2157607ffe0a2b",
-    ("flat_top", "moment-inversion"): "6f009bfde2f9f054702b6f9adca71710095498ad726ab96e5e53bfe44889868d",
-    ("flat_top", "jump-counting"): "b2ba028559a144451e6da39cac6c75757f58d2e364c8375125a89a79d9c9de6e",
+    ("graded_tail", "jump-counting"):
+        "c35b1882204cee3bd1154d9fb0d9034fa015dd3d4d7286a79f2157607ffe0a2b",
+    ("flat_top", "moment-inversion"):
+        "6f009bfde2f9f054702b6f9adca71710095498ad726ab96e5e53bfe44889868d",
+    ("flat_top", "jump-counting"):
+        "b2ba028559a144451e6da39cac6c75757f58d2e364c8375125a89a79d9c9de6e",
 }
 RAMP_PROPAGATOR_SHA256 = "9ba89ae210e6e5e67d7693f43e748bb086c0b47a9aac78afbc1f6d45ea9ee6ba"
 
