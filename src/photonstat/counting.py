@@ -28,8 +28,9 @@ undriven tail from the pulse end to ``t_end`` adds to every level trace in
 closed form (:func:`_end_traces`). A row of square pulses (a sweep row) climbs the
 cutoff ladder together: one stacked hierarchy per rung over its points still
 short of their criterion, settled as arrays. The exact ``P_1`` of
-:func:`one_photon_probability` is the k = 1 jump-counting rung of the stack,
-which a maximizer prepares once per (topology, T) (:func:`_one_photon_objective`).
+:func:`one_photon_probability` is the k = 1 jump-counting rung of the stack
+(:func:`_one_photon`), at per-point widths and tails, so a row of maximizers
+evaluates all its probes in one call.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
     _check_cutoff(k)
     if isinstance(specs[0].pulse, SquarePulse):
         T, N, t_end = np.array([(s.pulse.T, s.pulse.N, s.t_end) for s in specs], dtype=float).T
-        return _pulse_stack(specs[0].topology, T, t_end, k, rho0, resolved)(N)
+        topology = specs[0].topology
+        return _pulse_stack(topology, T, N, _tail_share(topology, t_end - T), k, rho0, resolved)
     (spec,) = specs
     y = np.zeros(4 * (k + 1), dtype=complex)
     y[:4] = vectorize(GROUND if rho0 is None else validate_density(rho0))
@@ -138,26 +140,21 @@ def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:
                        _tail_share(spec.topology, spec.t_end - stop), resolved)
 
 
-def _pulse_stack(topology: Topology, T, t_end, k: int, rho0, resolved: bool):
-    """:func:`_level_traces` of square pulses on ``topology`` of widths ``T`` and
-    windows ``t_end`` (arrays, or scalars for all) as a function of their photon
-    numbers: one kernel slice per pulse, each row bit for bit the pulse alone."""
+def _pulse_stack(topology: Topology, T, N, share, k: int, rho0, resolved: bool) -> np.ndarray:
+    """:func:`_level_traces` of square pulses on ``topology`` of widths ``T`` (an array,
+    or a scalar for all) and photon numbers ``N`` (an array), whose undriven tails
+    have the :func:`_tail_share` ``share`` (a column, or a scalar for all): one kernel
+    slice per pulse, each row bit for bit the pulse alone."""
     static, drive, jump = real_parts(topology)
-    diag = static - jump if resolved else static
-    coefficient = drive_coefficient(topology)
-    share = _tail_share(topology, t_end - T)
     if rho0 is not None:  # complex, as in advance, where a start carries imaginary roundoff in r
         r0 = _TO_R @ vectorize(validate_density(rho0))
         r0 = r0 if r0.imag.any() else r0.real
-
-    def traces(N: np.ndarray) -> np.ndarray:
-        amps = np.sqrt(coefficient * (N / T))
-        column = _block_expm(diag + amps[:, None, None] * drive, jump, k, T)
-        # level m's state F_m r0 (column 0 for |g><g|) has its populations at entries 0 and 1
-        state = (column[..., 0] if rho0 is None else column @ r0).real
-        return _end_traces(state[..., 0], state[..., 1], share, resolved)
-
-    return traces
+    amps = np.sqrt(drive_coefficient(topology) * (N / T))
+    column = _block_expm((static - jump if resolved else static) + amps[:, None, None] * drive,
+                         jump, k, T)
+    # level m's state F_m r0 (column 0 for |g><g|) has its populations at entries 0 and 1
+    state = (column[..., 0] if rho0 is None else column @ r0).real
+    return _end_traces(state[..., 0], state[..., 1], share, resolved)
 
 
 def _tail_share(topology: Topology, tail):
@@ -315,23 +312,25 @@ def one_photon_probability(topology: Topology, T: float, photon_numbers) -> np.n
     8x8 block form ``[[L - J, 0], [J, L - J]]`` (Van Loan's block form for
     integrals of matrix exponentials). It is the k = 1 jump-counting rung of
     the pulse stack the counting routes use, so each value is bit for bit
-    independent of the other photon numbers passed with it. It is the checked
-    one-shot use of the objective a maximizer prepares once per (topology, T).
+    independent of the other photon numbers passed with it.
     """
     ns = np.asarray(photon_numbers, dtype=float).reshape(-1)
     if not ((ns >= 0) & (ns < math.inf)).all():
         raise SpecError("photon numbers must be finite with N >= 0, "
                         f"got {ns[~((ns >= 0) & (ns < math.inf))][0]}")
-    p1 = _one_photon_objective(topology, T)
-    return p1(ns) if len(ns) else ns
+    return _one_photon(topology, T, _window_share(topology, T), ns)
 
 
-def _one_photon_objective(topology: Topology, T: float):
-    """:func:`one_photon_probability` at ``(topology, T)`` of unchecked photon
-    numbers (an array), prepared once: one k = 1 kernel call per use."""
-    t_end = default_window(SquarePulse(T=T, N=0.0), topology)  # SquarePulse checks T
-    traces = _pulse_stack(topology, T, t_end, 1, None, True)
-    return lambda ns: traces(ns)[:, 1]
+def _window_share(topology: Topology, T: float) -> float:
+    """The :func:`_tail_share` of a square pulse of width ``T`` counted over the default window."""
+    return _tail_share(topology, default_window(SquarePulse(T=T, N=0.0), topology) - T)  # checks T
+
+
+def _one_photon(topology: Topology, T, share, N: np.ndarray) -> np.ndarray:
+    """:func:`one_photon_probability` of unchecked square pulses as :func:`_pulse_stack`
+    takes them, each window given by its tail's share (see :func:`_window_share`): one
+    k = 1 kernel call, none for no photon numbers."""
+    return _pulse_stack(topology, T, N, share, 1, None, True)[:, 1] if len(N) else N
 
 
 def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",

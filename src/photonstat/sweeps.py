@@ -11,6 +11,9 @@ optimization is restricted to this first inversion lobe.
 The optimizer maximizes the exact one-photon probability
 (:func:`photonstat.counting.one_photon_probability`), which needs no
 cutoff; only the distribution reported at the optimum uses the moment route.
+It maximizes a row of widths together (:func:`maximize_p1` is a row of one):
+one k = 1 call scans them all, then their golden-section walks, each a pure
+function of its memo, advance in lockstep with one call per round.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import numpy as np
 from .counting import (
     PhotonStats,
     _check_cutoff,
-    _one_photon_objective,
+    _one_photon,
     _row_statistics,
+    _window_share,
     photon_statistics,
     verify_dual,
 )
@@ -69,62 +73,42 @@ def pi_pulse_number(T: float, a: float | None = None) -> float:
     return math.pi ** 2 / (4.0 * TwoLine(a=a).a * T)  # TwoLine checks 0 < a <= 1
 
 
-def _golden_step(state: tuple, left: bool, value) -> tuple:
-    """One golden-section step from ``(lo, hi, x1, x2, f1, f2)``: keep the
-    left subinterval if ``left``, else the right, and probe its new interior
-    point with ``value``."""
-    lo, hi, x1, x2, f1, f2 = state
-    if left:
-        hi, x2, f2 = x2, x1, f1
-        x1 = hi - _INV_PHI * (hi - lo)
-        return lo, hi, x1, x2, value(x1), f2
-    lo, x1, f1 = x1, x2, f2
-    x2 = lo + _INV_PHI * (hi - lo)
-    return lo, hi, x1, x2, f1, value(x2)
+def _golden_max(lo: float, hi: float, rel_tol: float, values: dict) -> float | list[float]:
+    """Golden-section maximizer over ``[lo, hi]`` on the memo ``values`` (point:
+    value); ties keep the left subinterval.
 
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Golden-section maximizer; ties keep the left subinterval.
-
-    ``f`` maps an array of points to their values, each independent of the
-    other points. Whenever a probe is missing, the probes of the next
-    ``_LOOKAHEAD`` steps under every outcome of their comparisons (and the
-    final pair of every branch that stops) are one call of ``f``; the steps
-    then run on those values exactly as they would one probe at a time.
+    Returns the maximizer when ``values`` holds every probe the walk reads, else the
+    probes it misses, each once: those of the next ``_LOOKAHEAD`` steps under every
+    outcome of their comparisons, and the final pair of every branch that stops. Fed
+    back, they let the walk run on as it would one probe at a time.
     """
-    values = {}
+    # the step and the stopping test are written out: as calls they took ~1/5 of the walk
 
-    def is_open(state):
-        lo, hi = state[:2]
-        return hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12)
+    def missing(states, depth, out):  # ``out`` and the probes of ``depth`` steps from ``states``
+        for d in range(depth + 1):
+            states, grown = [], states
+            for lo, hi, x1, x2 in grown:
+                if not hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
+                    out += [lo, 0.5 * (lo + hi)]
+                elif d < depth:  # keep [lo, x2] with a new x1, or [x1, hi] with a new x2
+                    states += [(lo, x2, x2 - _INV_PHI * (x2 - lo), x1),
+                               (x1, hi, x2, x1 + _INV_PHI * (hi - x1))]
+                    out += [states[-2][2], states[-1][3]]
+        return [x for x in dict.fromkeys(out) if x not in values]
 
-    def probes(state, branches, depth, out):
-        if not is_open(state):
-            out += [state[0], 0.5 * (state[0] + state[1])]
-        elif depth:
-            for left in branches:
-                probes(_golden_step(state, left, out.append), (True, False), depth - 1, out)
-
-    def fill(state, branches, points):
-        probes(state, branches, _LOOKAHEAD, points)
-        points = [x for x in dict.fromkeys(points) if x not in values]
-        values.update(zip(points, f(np.array(points))))
-
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    fill((lo, hi, x1, x2, None, None), (True, False), [x1, x2])
-    state = (lo, hi, x1, x2, values[x1], values[x2])
-    while is_open(state):
-        left = state[4] >= state[5]
-        step = _golden_step(state, left, values.get)
-        if None in step[4:]:
-            fill(state, (left,), [])
-            step = _golden_step(state, left, values.get)
-        state = step
-    lo, hi = state[:2]
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    if x1 not in values or x2 not in values:
+        return missing([(lo, hi, x1, x2)], _LOOKAHEAD, [x1, x2])
+    while hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
+        left = values[x1] >= values[x2]
+        step = (lo, x2, x2 - _INV_PHI * (x2 - lo), x1) if left else (
+            x1, hi, x2, x1 + _INV_PHI * (hi - x1))
+        if step[2 if left else 3] not in values:
+            return missing([step], _LOOKAHEAD - 1, [step[2 if left else 3]])
+        lo, hi, x1, x2 = step
     mid = 0.5 * (lo + hi)
     if lo not in values or mid not in values:
-        fill(state, (), [])
+        return missing([(lo, hi, x1, x2)], 0, [])
     # prefer the left edge when the surface is flat to 1e-9
     return lo if values[lo] + 1e-9 >= values[mid] else mid
 
@@ -150,21 +134,37 @@ def maximize_p1(topology: Topology, T: float, k: int | None = None) -> MaximizeR
     of the scanned range.
     """
     _check_grids([T], k=k)
-    n_star, at_boundary = _argmax_p1(topology, T)
+    ((n_star, at_boundary),) = _argmax_p1(topology, [T])
     stats = photon_statistics(DriveSpec(SquarePulse(T=T, N=n_star), topology), k=k)
     return MaximizeResult(n_star=n_star, stats=stats, at_boundary=at_boundary)
 
 
-def _argmax_p1(topology: Topology, T: float) -> tuple[float, bool]:
-    """The :func:`maximize_p1` maximizer, and whether it lies at the edge of the scan."""
+def _argmax_p1(topology: Topology, Ts: list[float]) -> list[tuple[float, bool]]:
+    """The :func:`maximize_p1` maximizer at each width of ``Ts``, and whether it lies
+    at the edge of its scan: one k = 1 call for all the scans, then one per round
+    over the probes that the open walks miss, each walk as if alone."""
     a = topology.a if isinstance(topology, TwoLine) else None
-    grid = np.linspace(0.0, _FIRST_LOBE * pi_pulse_number(T, a), _SCAN_POINTS)
-    p1 = _one_photon_objective(topology, T)
-    i_best = int(np.argmax(p1(grid)))
-    b_lo = grid[max(i_best - 1, 0)]
-    b_hi = grid[min(i_best + 1, len(grid) - 1)]
-    n_star = _golden_max(p1, float(b_lo), float(b_hi), _REL_TOL)
-    return n_star, i_best in (0, len(grid) - 1)
+    widths = np.array([(T, _window_share(topology, T)) for T in Ts]).reshape(-1, 2)
+    grids = np.array([np.linspace(0.0, _FIRST_LOBE * pi_pulse_number(T, a), _SCAN_POINTS)
+                      for T in Ts]).reshape(-1, _SCAN_POINTS)
+    pulses = widths.repeat(_SCAN_POINTS, axis=0)
+    scans = _one_photon(topology, pulses[:, 0], pulses[:, 1:], grids.ravel())
+    best = scans.reshape(grids.shape).argmax(axis=-1).tolist()
+    walks = [(grid[max(i - 1, 0)], grid[min(i + 1, _SCAN_POINTS - 1)], _REL_TOL, {})
+             for grid, i in zip(grids.tolist(), best)]
+    n_star = [None] * len(Ts)  # each walk's maximizer, or the probes it misses
+    pending = range(len(Ts))
+    while pending:
+        for i in pending:
+            n_star[i] = _golden_max(*walks[i])
+        pending = [i for i in pending if isinstance(n_star[i], list)]
+        if pending:
+            pulses = widths[[i for i in pending for _ in n_star[i]]]
+            points = np.array(list(chain.from_iterable(n_star[i] for i in pending)))
+            values = iter(_one_photon(topology, pulses[:, 0], pulses[:, 1:], points).tolist())
+            for i in pending:
+                walks[i][3].update(zip(n_star[i], values))  # zip takes len(n_star[i]) values
+    return [(n, i in (0, _SCAN_POINTS - 1)) for n, i in zip(n_star, best)]
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def _fixed_row(topology: Topology, Ts: list[float], Ns: list[float], k: int | No
 def _two_line_row(topology: TwoLine, Ts: list[float], k: int | None,
                   checks: list[bool]) -> tuple[SweepRecord, ...]:
     """Records of one coupling ratio at widths ``Ts``, each at its :func:`maximize_p1` N."""
-    return _fixed_row(topology, Ts, [_argmax_p1(topology, T)[0] for T in Ts], k, checks, "N*")
+    return _fixed_row(topology, Ts, [n for n, _ in _argmax_p1(topology, Ts)], k, checks, "N*")
 
 
 def _pool_size(workers: int, tasks: int) -> int:

@@ -1,3 +1,4 @@
+import platform
 import sys
 from typing import NamedTuple
 
@@ -8,6 +9,17 @@ import photonstat as ps
 from photonstat import propagator
 
 ACCEPTANCE_LINES = []
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the machine: the bit-for-bit pins (``TestPresetPins``,
+    ``TestSampledPins``, the golden CSVs) hold for the build that made them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}, {platform.machine()}"
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,16 +12,25 @@ from photonstat.liouville import drive_coefficient
 from photonstat.sweeps import _golden_max
 
 
+def golden_max(f, lo, hi, rel_tol):
+    """The walk of ``_golden_max`` run to its maximizer on a memo, each round's
+    missing probes evaluated by ``f`` (an array of points to their values)."""
+    values = {}
+    while isinstance(got := _golden_max(lo, hi, rel_tol, values), list):
+        values.update(zip(got, f(np.array(got))))
+    return got
+
+
 class TestGoldenMax:
     def test_quadratic_peak(self):
-        x = _golden_max(lambda v: -(v - 3.2) ** 2, 0.0, 10.0, 1e-6)
+        x = golden_max(lambda v: -(v - 3.2) ** 2, 0.0, 10.0, 1e-6)
         assert abs(x - 3.2) < 1e-4
 
     def test_flat_function_returns_left_edge(self):
-        assert _golden_max(np.ones_like, 2.0, 5.0, 1e-6) == pytest.approx(2.0, abs=1e-5)
+        assert golden_max(np.ones_like, 2.0, 5.0, 1e-6) == pytest.approx(2.0, abs=1e-5)
 
     def test_plateau_tie_prefers_left(self):
-        x = _golden_max(lambda v: np.minimum(v, 4.0), 0.0, 10.0, 1e-6)
+        x = golden_max(lambda v: np.minimum(v, 4.0), 0.0, 10.0, 1e-6)
         assert x <= 4.0 + 1e-3
 
 
@@ -79,17 +88,12 @@ class TestMaximizeP1:
     def test_reported_p1_is_the_objective_at_the_maximizer(self, monkeypatch):
         seen = {}
 
-        def recording(topology, T):
-            objective = counting._one_photon_objective(topology, T)
+        def recording(topology, T, share, ns):
+            values = counting._one_photon(topology, T, share, ns)
+            seen.update(zip(np.asarray(ns, dtype=float).tolist(), values))
+            return values
 
-            def p1(ns):
-                values = objective(ns)
-                seen.update(zip(np.asarray(ns, dtype=float).tolist(), values))
-                return values
-
-            return p1
-
-        monkeypatch.setattr(sweeps, "_one_photon_objective", recording)
+        monkeypatch.setattr(sweeps, "_one_photon", recording)
         for topology, T in [(ps.TwoLine(a=0.01), 0.1), (ps.TwoLine(a=0.3), 0.5),
                             (ps.TwoLine(a=1.0), 5.0), (ps.SingleLine(), 0.1)]:
             seen.clear()
@@ -243,6 +247,12 @@ class TestSweepTwoLine:
             ps.sweep_two_line_slices([0.5], T=T, points=4)
         assert kernel_calls == []
 
+    @pytest.mark.parametrize("a_grid, T_grid", [([0.1], []), ([], [0.5])],
+                             ids=["no widths", "no ratios"])
+    def test_empty_grid_gives_no_records_and_no_kernel_call(self, a_grid, T_grid, kernel_calls):
+        assert ps.sweep_two_line(a_grid=a_grid, T_grid=T_grid).records == ()
+        assert kernel_calls == []
+
     @pytest.mark.parametrize("points", [-3, 0, 2.5, True])
     def test_slices_need_a_positive_point_count(self, points):
         with pytest.raises(SpecError, match=rf"points=.*{points!r}"):
@@ -313,6 +323,34 @@ class TestSweepRows:
             best = ps.maximize_p1(ps.TwoLine(a=rec.a), rec.T)
             assert rec.N == best.n_star
             assert_same_stats(rec.stats, best.stats)
+
+    # widths whose walks stop after different rounds; T = 5 peaks at the edge of its scan
+    MIXED_ROW = (ps.TwoLine(a=0.5), [0.05, 0.3, 1.0, 5.0])
+
+    def test_row_maximizers_equal_rows_of_one(self):
+        topology, T_grid = self.MIXED_ROW
+        row = sweeps._argmax_p1(topology, T_grid)
+        assert row[-1][1] and not any(at_boundary for _, at_boundary in row[:-1])
+        for T, (n_star, at_boundary) in zip(T_grid, row):
+            ((alone, alone_at_boundary),) = sweeps._argmax_p1(topology, [T])
+            assert (n_star.hex(), at_boundary) == (alone.hex(), alone_at_boundary)
+
+    def test_row_maximizers_make_one_scan_call_then_one_call_per_round(self, kernel_calls):
+        topology, T_grid = self.MIXED_ROW
+        alone = []
+        for T in T_grid:
+            kernel_calls.clear()
+            sweeps._argmax_p1(topology, [T])
+            alone.append(list(kernel_calls))
+        kernel_calls.clear()
+        sweeps._argmax_p1(topology, T_grid)
+        (scan, _, widths), *rounds = kernel_calls
+        assert len(scan) == len(T_grid) * sweeps._SCAN_POINTS
+        assert widths.tolist() == np.repeat(T_grid, sweeps._SCAN_POINTS).tolist()
+        assert len(rounds) == max(len(calls) for calls in alone) - 1
+        assert {k for _, k, _ in kernel_calls} == {1}
+        assert (sum(len(diag) for diag, _, _ in kernel_calls)
+                == sum(len(diag) for calls in alone for diag, _, _ in calls))
 
     def test_one_pulse_exponential_call_per_rung(self, kernel_calls):
         n_grid = np.linspace(0.0, 120.0, 24)
