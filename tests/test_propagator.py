@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -582,6 +584,49 @@ class TestBlockExponential:
         assert np.array_equal(_dense(column[2]), dense[2])
 
 
+
+class TestKernelPins:
+    """The kernel's output bits across its capacity table: every degree index
+    and squarings 0-9, as a 24-slice stack with per-slice steps and as one-slice
+    calls with a scalar step, which equal the stack's slices bit for bit."""
+
+    PINS = {
+        (0, 1): "3c005108d37b28b51618e25d3a05198a28bb4d888ed2fa7d5e1f17b447b609de",
+        (0, 3): "6d06d97e70b28fbdd7e8fc798b77cfd63512f3519fd6d238868d9d448c330c73",
+        (1, 1): "5638a4af06348845f7eb73a7bf74b0adebfb1fa25d296677aa4b73c8c861c129",
+        (1, 3): "1bbe33e39b8cd6c5a7b1463c66416325b751bd5adb1dd38e53fbb4761bee48a4",
+        (4, 1): "b2c01c8b4bd4b6392a874419c45f100c8c785846df4e107331c2446b6be4be8d",
+        (4, 3): "9b1e4d3bf6c76b6aa57d5d8b5274ab671d7ca8835c1b294581a5be04a94946a7",
+        (16, 1): "f9704e7902f75c60a53d1cf9ba09cab7b2a0d927936978a963d40664700df553",
+        (16, 3): "5bd812208bc4e4e62173a859244252499e1fb08163a904463ba4604b617af83f",
+    }
+
+    @staticmethod
+    def inputs(k, bands):
+        rng = np.random.default_rng(100 * k + bands)
+        dt = rng.uniform(0.5, 2.0, 24)
+        diag, feed = norm_spread_stack(ps.TwoLine(a=0.3), 24, rng, dt)
+        if bands > 1:
+            spread = (np.abs(diag) + np.abs(feed)).sum(-2).max(-1)
+            scale = np.abs(feed).max((1, 2))[:, None, None, None]
+            feed = np.concatenate([feed[:, None], rng.normal(size=(24, bands - 1, 4, 4)) * scale], 1)
+            # rescaled, so the 1-norms over all bands keep the spread
+            scale = (spread / (np.abs(diag) + np.abs(feed).sum(1)).sum(-2).max(-1))[:, None, None]
+            diag, feed = diag * scale, feed * scale[:, None]
+        return diag, feed, dt
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 16])
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_outputs_are_pinned_bit_for_bit(self, k, bands):
+        diag, feed, dt = self.inputs(k, bands)
+        norms = (np.abs(diag) + np.abs(feed.reshape(24, -1, 4, 4)).sum(1)).sum(-2).max(-1) * dt
+        degree, squarings = _CHOICE[:, np.searchsorted(_CAPACITY, norms)]
+        assert set(degree) == set(range(5)) and set(squarings) == set(range(10))
+        stack = _block_expm(diag, feed, k, dt)
+        singles = [_block_expm(d, f, k, float(t)) for d, f, t in zip(diag, feed, dt)]
+        for got in (stack, np.array(singles)):
+            assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINS[k, bands]
+
 def in_fresh_thread(fn):
     """``fn()`` run in a new thread, whose kernel work buffer starts empty."""
     result = []
@@ -640,6 +685,23 @@ class TestWorkBuffer:
         first, again, dense = in_fresh_thread(run)
         assert np.array_equal(first, again)
         assert all(np.array_equal(d, dense[0]) for d in dense)
+
+    def test_cached_layouts_follow_the_buffer(self):
+        rng = np.random.default_rng(25)
+        small, large = self.stacks(rng, [(ps.TwoLine(a=0.3), 6, 4), (ps.SingleLine(), 24, 16)])
+
+        def run():
+            first = _block_expm(*small, 1.0)
+            old = weakref.ref(propagator._WORK.buffer)
+            _block_expm(*large, 1.0)
+            assert propagator._WORK.buffer is not old()
+            gc.collect()
+            # no layout cached for the old buffer keeps it alive
+            released = old() is None
+            return first, _block_expm(*small, 1.0), released
+
+        first, again, released = in_fresh_thread(run)
+        assert np.array_equal(first, again) and released
 
     def test_concurrent_threads_get_their_serial_results(self):
         rng = np.random.default_rng(24)
