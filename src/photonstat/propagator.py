@@ -34,12 +34,15 @@ and returns it; only :func:`advance` and its Magnus steps expand it to the
 matrix (:func:`_dense`).
 
 The kernel's work arrays (padded power rows, one Toeplitz matrix, the Taylor
-terms and two products) and :func:`_dense`'s padded row are views of one
-float64 buffer per thread, laid out once per request shape. The buffer grows
-to exactly the largest request the thread has made and is never released,
-so repeated stacked calls write to pages that stay mapped instead of taking
-fresh ones from the allocator each call. It holds 0.9 MB after bench ``map``
-rows of 24 photon numbers and 4.5 MB after ``fig2`` rows of 120. Every
+terms and two products) are views of one float64 buffer per thread, laid out
+once per request shape together with the strided views that read them (the
+Toeplitz window over the power row that the Horner steps and squarings reuse,
+so a Toeplitz matrix is one copy; :func:`_dense` expands through it too). The
+buffer grows to exactly the largest request the thread has made and is never
+released, and a growth drops the cached layouts, so repeated stacked calls
+write to pages that stay mapped instead of taking fresh ones from the
+allocator each call. It holds 0.93 MB after bench ``map`` rows of 24 photon
+numbers, 4.7 MB after ``fig2`` rows of 120 and 11.5 MB after ``fig5``. Every
 product keeps its operands' shapes, so results are bit for bit those of
 fresh arrays, and the returned column and matrices are fresh arrays.
 """
@@ -81,9 +84,9 @@ TRACE_DRIFT = 1e-12
 # _ALPHA[m, j] A_j over the generators A_j at the nodes (see _magnus_steps).
 _NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _ALPHA = np.array([[0, 3, 0], [-math.sqrt(15.0), 0, math.sqrt(15.0)], [10, -20, 10]]) / 3.0
-# Steps per kernel call on an advance's stack of first-check passes, one
-# exponential each; results do not depend on it. A call costs ~30 small numpy
-# operations; at k = 16 an exponential takes 79 kB of buffer, 37 kB of result.
+# Steps per kernel call on an advance's stack of first-check passes (results do
+# not depend on it). A call costs ~30 small numpy operations, 2-3 per Horner step
+# or squaring; at k = 16 an exponential takes 79 kB of buffer, 37 kB of result.
 _STACK_STEPS = 32
 # First-pass step count per V^(1/3) tol^(-1/6) (see _integrate_part). On 671
 # linear parts of 96 bench envelopes, 0.2/0.26/0.3/0.35/0.4 pass the first
@@ -172,7 +175,7 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the scale factor ``2^-squarings``.
 
     A Horner step in X^4 is one product and one sum; a squaring is one
-    product, one Toeplitz copy and one masked copy. Counting a squaring as
+    product, one Toeplitz copy and one copy back. Counting a squaring as
     1.5 steps, degree index i with s squarings costs ``2 i + 3 s``, and the
     entry picked for a norm is the cheapest whose capacity ``theta_m 2^s``
     covers it. Larger norms and NaN take the last entry.
@@ -189,39 +192,43 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _CAPACITY, _CHOICE, _SCALE = _scaling_table()
+# each capacity's (degree index, squarings, scale, block coefficients), for one slice
+_ROWS = [_COEFFICIENTS[i:i + 1, :i + 1].copy() for i in range(len(_DEGREES))]
+_CHOICES = [(i, s, scale, _ROWS[i]) for i, s, scale in zip(*_CHOICE.tolist(), _SCALE.tolist())]
 
 
 class _Work(threading.local):
     """This thread's float64 work buffer, grown to exactly the largest request
-    and never released, and the views laid out in it per request."""
+    and never released, and the kernel's views laid out in it per request shape."""
 
     def __init__(self):
         self.buffer = np.empty(0)
-        self.views = lru_cache(maxsize=256)(self._lay_out)
+        self.layout = lru_cache(maxsize=256)(self._lay_out)
 
-    def _lay_out(self, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    def _lay_out(self, n: int, k: int, blocks: int) -> tuple:
+        """The views of :func:`_block_expm` for ``n`` slices at level k with ``blocks``
+        Taylor blocks: padded power rows P, the Toeplitz window over P[1], a Toeplitz
+        matrix in the window's shape and its own, P's columns from 4k on, P slices
+        first, Taylor terms in full and trimmed to the columns from 4k on, and two
+        products. Block row p of the window is columns ``4(k-p) .. 4(2k-p)+3`` of P[1]:
+        with ``P[1] = [0 ... 0, F_0, ..., F_k]`` its block (i, j) is F_(j-i), with
+        ``[F_k, ..., F_0, 0 ... 0]`` F_(i-j)."""
+        w, m = 8 * k + 4, 4 * k + 4
+        shapes = (_POWERS, n, 4, w), (n, m, m), (n, blocks, 4 * w), (2, n, 4, m)
         ends = list(accumulate(map(math.prod, shapes), initial=0))
         if ends[-1] > len(self.buffer):
             self.buffer = np.empty(ends[-1])
-            self.views.cache_clear()  # views of the old buffer would keep it alive
-        return tuple(self.buffer[a:b].reshape(shape)
-                     for a, b, shape in zip(ends, ends[1:], shapes))
+            self.layout.cache_clear()  # views of the old buffer would keep it alive
+        P, step, terms, H = (self.buffer[a:b].reshape(shape)
+                             for a, b, shape in zip(ends, ends[1:], shapes))
+        _, s0, s1, s2 = P.strides
+        window = np.ndarray((n, k + 1, 4, m), P.dtype, P[1], 4 * k * s2, (s0, -4 * s2, s1, s2))
+        return (P, window, step.reshape(window.shape), step, P[..., 4 * k:],
+                P.reshape(_POWERS, n, -1).transpose(1, 0, 2), terms,
+                terms.reshape(n, blocks, 4, w)[..., 4 * k:], H)
 
 
 _WORK = _Work()
-
-
-def _toeplitz(buf: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """The ``(n, 4(k+1), 4(k+1))`` matrices whose block row p is columns
-    ``4(k-p) .. 4(2k-p)+3`` of the rows ``buf`` (shape ``(n, 4, 4(2k+1))``,
-    C-contiguous), written to ``out`` (C-contiguous, of their size) and
-    returned: with ``buf = [0 ... 0, F_0, ..., F_k]`` block (p, m) is
-    F_(m-p), and with ``buf = [F_k, ..., F_0, 0 ... 0]`` block (i, j) is F_(i-j)."""
-    s0, s1, s2 = buf.strides
-    window = np.ndarray((len(buf), k + 1, 4, 4 * k + 4), buf.dtype, buf, 4 * k * s2,
-                        (s0, -4 * s2, s1, s2))
-    out.reshape(window.shape)[...] = window
-    return out
 
 
 def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
@@ -232,57 +239,62 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     one per slice. A ``feed`` with one more axis than ``diag`` stacks the
     blocks of subdiagonals 1, 2, ...; bands beyond level k are dropped.
 
-    A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its
-    first block column; a product with another is that row times the
-    other's :func:`_toeplitz` matrix. Each slice picks its Taylor degree and
-    scaling from its own 1-norm ``max col-sum(|D| + |J|) dt``, |J| summed
-    over the feed's bands. A slice of lower degree has zero coefficients in
-    the higher blocks and one of fewer squarings is masked out of the later
-    ones, so every slice comes out bit for bit as alone. The work arrays
-    are views of this thread's buffer; the returned column is a fresh array.
+    A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its first
+    block column; a product with another is that row times the other's Toeplitz
+    matrix (:class:`_Work`). Each slice picks its Taylor degree and scaling from its
+    own 1-norm ``max col-sum(|D| + |J|) dt``, |J| summed over the feed's bands. A
+    slice of lower degree has zero coefficients in the higher blocks and one of
+    fewer squarings is masked out of the later ones, so every slice comes out bit
+    for bit as alone; a one-slice call reads its choice as Python scalars. The work
+    arrays are views of this thread's buffer; the returned column is a fresh array.
     """
     D = diag.reshape(-1, 4, 4)
-    n, w, m = len(D), 8 * k + 4, 4 * k + 4
-    bands = np.moveaxis(feed, -3, 0) if feed.ndim > diag.ndim else [feed]
+    n = len(D)
     # elementwise sums keep the norm, and so the choice, independent of the stack
-    a = sum(map(np.abs, bands), np.abs(D))
+    bands = np.moveaxis(feed, -3, 0) if feed.ndim > diag.ndim else [feed]
+    a = np.abs(D)
+    for band in bands:
+        a += np.abs(band)
     a = a[:, :2] + a[:, 2:]
-    pick = np.searchsorted(_CAPACITY, (a[:, 0] + a[:, 1]).max(-1) * dt)
-    degree, squarings = _CHOICE[:, pick]
-    blocks = int(degree.max()) + 1
-    # work arrays: padded power rows, a Toeplitz matrix, Taylor terms, two products
-    P, step, terms, H = _WORK.views((_POWERS, n, 4, w), (n, m, m), (n, blocks, 4 * w),
-                                    (2, n, 4, m))
+    pick = _CAPACITY.searchsorted((a[:, 0] + a[:, 1]).max(-1) * dt)
+    if n == 1:
+        degree, most, scale, coefficients = _CHOICES[pick[0]]
+        blocks, fewest, scale = degree + 1, most, dt * scale
+    else:
+        degree, squarings = _CHOICE[:, pick]
+        blocks, fewest, most = int(degree.max()) + 1, squarings.min(), int(squarings.max())
+        scale, coefficients = (dt * _SCALE[pick])[:, None, None], _COEFFICIENTS[degree, :blocks]
+    P, window, steps, step, live, powers, terms, trimmed, H = _WORK.layout(n, k, blocks)
     # padded rows [0 ... 0, Y_0, ..., Y_k] of Y = I, X, X^2, X^3 for the
     # scaled generator X = (D + J eps) dt 2^-s
     P[:2] = 0.0
     P[2:, :, :, :4 * k] = 0.0
-    P[0, :, :, 4 * k:4 * k + 4] = _EYE
-    P[1, :, :, 4 * k:4 * k + 4] = D
+    live[0, :, :, :4] = _EYE
+    live[1, :, :, :4] = D
     for j, band in enumerate(bands[:k]):  # bands beyond level k are dropped
-        P[1, :, :, 4 * (k + j + 1):4 * (k + j + 2)] = band
-    P[1] *= (dt * _SCALE[pick])[:, None, None]
-    _toeplitz(P[1], k, step)
+        live[1, :, :, 4 * j + 4:4 * j + 8] = band
+    P[1] *= scale
+    steps[...] = window
     for j in range(2, _POWERS):
-        np.matmul(P[j - 1, :, :, 4 * k:], step, out=P[j, :, :, 4 * k:])
-    np.matmul(_COEFFICIENTS[degree, :blocks], P.reshape(_POWERS, n, -1).transpose(1, 0, 2),
-              out=terms)
-    terms = terms.reshape(n, blocks, 4, w)[..., 4 * k:]
-    # Horner in X^4 over the blocks, into the padded row E of P[1]
-    E = P[1]
-    out = terms[:, -1]
+        np.matmul(live[j - 1], step, out=live[j])
+    np.matmul(coefficients, powers, out=terms)
+    # Horner in X^4 over the blocks, into the columns E of the row P[1] from 4k on
+    E, out = live[1], trimmed[:, -1]
     if blocks > 1:
-        np.matmul(P[-1, :, :, 4 * k:], step, out=E[:, :, 4 * k:])
-        _toeplitz(E, k, step)
+        np.matmul(live[-1], step, out=E)
+        steps[...] = window
         for b in range(blocks - 2, -1, -1):
             out = np.matmul(out, step, out=H[b % 2])
-            out += terms[:, b]
-    E[:, :, 4 * k:] = out
-    fewest = squarings.min()
-    for j in range(int(squarings.max())):
-        np.copyto(E[:, :, 4 * k:], np.matmul(E[:, :, 4 * k:], _toeplitz(E, k, step), out=H[0]),
-                  where=True if j < fewest else (squarings > j)[:, None, None])
-    column = E[:, :, 4 * k:].reshape(n, 4, k + 1, 4).swapaxes(1, 2).copy()
+            out += trimmed[:, b]
+    E[...] = out
+    for j in range(most):
+        steps[...] = window
+        np.matmul(E, step, out=H[0])
+        if j < fewest:
+            E[...] = H[0]
+        else:
+            np.copyto(E, H[0], where=(squarings > j)[:, None, None])
+    column = E.reshape(n, 4, k + 1, 4).swapaxes(1, 2).copy()
     return column.reshape(diag.shape[:-2] + (k + 1, 4, 4))
 
 
@@ -291,10 +303,13 @@ def _dense(column: np.ndarray) -> np.ndarray:
     ``column`` (shape ``(..., k+1, 4, 4)``): block (i, j) is ``F_(i-j)``."""
     k = column.shape[-3] - 1
     F = column.reshape(-1, k + 1, 4, 4)
-    (rev,) = _WORK.views((len(F), 4, 8 * k + 4))  # the row [F_k, ..., F_0, 0 ... 0]
+    P, window, *_ = _WORK.layout(len(F), k, 1)
+    rev = P[1]  # the row [F_k, ..., F_0, 0 ... 0]
     rev[:, :, 4 * k + 4:] = 0.0
     rev[:, :, :4 * k + 4].reshape(len(F), 4, k + 1, 4)[:] = F[:, ::-1].swapaxes(1, 2)
-    return _toeplitz(rev, k, np.empty(column.shape[:-3] + (4 * k + 4, 4 * k + 4)))
+    dense = np.empty(column.shape[:-3] + (4 * k + 4, 4 * k + 4))
+    dense.reshape(window.shape)[...] = window
+    return dense
 
 
 @lru_cache(maxsize=64)

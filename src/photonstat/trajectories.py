@@ -28,7 +28,8 @@ driven piece) all invert one function per piece, the reset-state norm
 ``n_g(s) = |U(s)|g>|^2``. A driven piece tabulates it the first time such a
 row needs a crossing, and the inverse table gives these rows their first
 Newton iterate; other rows start from the secant through the ends of
-their span.
+their span. Such rows need only the first column of U(s) (:meth:`_Piece.column`):
+the table, the carry after a jump and a crossing whose rows all start there read it alone.
 
 Reproducibility contract: trajectory ``i`` consumes, in order, one initial
 threshold, then per jump one channel uniform followed by the next threshold.
@@ -70,8 +71,8 @@ _CROSSING_ITERS = 100
 # Points of a piece's reset-state norm table, which seeds the crossings of
 # rows that start in |g>. Over the traj benchmark's inputs a crossing takes
 # 4.6 Newton iterations at 64 points, 3.5 at 256 and 3.0 at 1024, against
-# 9.7 from the secant guess; the table costs ~70 us at 256 points, about one
-# iteration of a 180-row block, and ~170 us at 1024.
+# 9.7 from the secant guess; the table costs ~35 us at 256 points, less than
+# one iteration of a 180-row block (~55 us), and ~90 us at 1024.
 _GROUND_GRID = 256
 # Trajectories advanced together as one array; results do not depend on it.
 _CHUNK = 4096
@@ -161,20 +162,27 @@ class _Piece:
         envelope that never see a reset do not pay for it.
         """
         s = np.linspace(0.0, self.length, _GROUND_GRID)
-        u00, _, u10, _ = self.matrix(s)
         # dn/ds = -R |e|^2 <= 0; the running minimum irons out rounding
-        norm = np.minimum.accumulate(_norm2(u00, u10))
+        norm = np.minimum.accumulate(_norm2(*self.column(s)))
         return norm[::-1], s[::-1]
 
-    def matrix(self, s: np.ndarray):
-        """Entries of exp(-i H_eff s); the traceless part has eigenvalues +-q."""
+    def _waves(self, s: np.ndarray):
+        """sin(q s) / q, cos(q s) and exp(-i mu s); +-q are the eigenvalues of H_eff - mu."""
         qs = self.q * s
         # sin(q s) / q, which tends to s at the exceptional point q = 0
         f = np.sin(qs) / self.q if self.q != 0 else s.astype(complex)
-        c = np.cos(qs)
-        ph = np.exp(-1j * self.mu * s)
+        return f, np.cos(qs), np.exp(-1j * self.mu * s)
+
+    def matrix(self, s: np.ndarray):
+        """Entries u00, u01, u10, u11 of exp(-i H_eff s)."""
+        f, c, ph = self._waves(s)
         return (ph * (c - 1j * f * self.a00), ph * (-1j * f * self.a01),
                 ph * (-1j * f * self.a10), ph * (c + 1j * f * self.a00))
+
+    def column(self, s: np.ndarray):
+        """Entries u00, u10 of :meth:`matrix`: the state U(s)|g>."""
+        f, c, ph = self._waves(s)
+        return ph * (c - 1j * f * self.a00), ph * (-1j * f * self.a10)
 
     def crossing(self, span: np.ndarray, g: np.ndarray, e: np.ndarray,
                  thr: np.ndarray, n_end: np.ndarray) -> np.ndarray:
@@ -202,27 +210,33 @@ class _Piece:
         if ground.any():
             norm, times = self.ground_table
             s[ground] = np.minimum(np.interp(thr[ground], norm, times), span[ground])
-        for _ in range(_CROSSING_ITERS):
-            u00, u01, u10, u11 = self.matrix(s)
-            gs, es = u00 * g + u01 * e, u10 * g + u11 * e
-            e2 = es.real * es.real + es.imag * es.imag
-            excess = gs.real * gs.real + gs.imag * gs.imag + e2 - thr
-            above = excess > 0.0
-            lo = np.where(above, s, lo)
-            hi = np.where(above, hi, s)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        columns = ground.all()  # then U(s) (1, 0) is exactly U(s)'s first column
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_CROSSING_ITERS):
+                if columns:
+                    gs, es = self.column(s)
+                else:
+                    u00, u01, u10, u11 = self.matrix(s)
+                    gs, es = u00 * g + u01 * e, u10 * g + u11 * e
+                e2 = es.real * es.real + es.imag * es.imag
+                excess = gs.real * gs.real + gs.imag * gs.imag + e2 - thr
+                above = excess > 0.0
+                lo = np.where(above, s, lo)
+                hi = np.where(above, hi, s)
                 step = excess / (self.rate * e2)
-            newton = s + step
-            converged = np.abs(step) <= tol
-            inside = (newton > lo) & (newton < hi)
-            s_new = np.where(converged | inside, newton, 0.5 * (lo + hi))
-            done = converged | (hi - lo <= tol)
-            out[act[done]] = s_new[done]
-            if done.all():
-                return out
-            keep = ~done
-            act, s, lo, hi = act[keep], s_new[keep], lo[keep], hi[keep]
-            g, e, thr = g[keep], e[keep], thr[keep]
+                newton = s + step
+                converged = np.abs(step) <= tol
+                inside = (newton > lo) & (newton < hi)
+                s = np.where(converged | inside, newton, 0.5 * (lo + hi))
+                done = converged | (hi - lo <= tol)
+                if not done.any():
+                    continue
+                out[act[done]] = s[done]
+                if done.all():
+                    return out
+                keep = ~done
+                act, s, lo, hi = act[keep], s[keep], lo[keep], hi[keep]
+                g, e, thr = g[keep], e[keep], thr[keep]
         raise NumericalError(
             f"jump time did not converge to {tol:.1e} in {_CROSSING_ITERS} iterations")
 
@@ -248,7 +262,7 @@ class _Piece:
                 g[rows], e[rows] = 1.0, 0.0
                 return
             # the emission resets the emitter; carry |g> to the piece end
-            g_end, _, e_end, _ = self.matrix(span)
+            g_end, e_end = self.column(span)
             n_end = _norm2(g_end, e_end)
             g[rows], e[rows] = g_end, e_end
             again = n_end < thr[rows]

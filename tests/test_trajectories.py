@@ -61,6 +61,21 @@ class TestPiecePropagator:
         zero = _Piece(np.zeros((2, 2), complex), 1e-10, rate=1.0, driven=False)
         assert np.allclose(np.reshape(zero.full, (2, 2)), np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("h", [
+        ps.effective_hamiltonian(ps.DriveSpec(ps.SquarePulse(T=2.0, N=60.0),
+                                              ps.SingleLine(delta=1.5)), 1.0),
+        np.random.default_rng(12).normal(size=(2, 2, 2)) @ [1.0, 1j],
+        # the exceptional point q = 0
+        np.array([[0.0, 0.25], [0.25, -0.5j]]),
+    ], ids=["detuned", "random", "exceptional-point"])
+    def test_column_is_the_first_column_bit_for_bit(self, h):
+        piece = _Piece(h, 5.0, rate=1.0, driven=True)
+        s = np.concatenate([[0.0], np.random.default_rng(13).uniform(0.0, 5.0, 99)])
+        u00, _, u10, _ = piece.matrix(s)
+        g, e = piece.column(s)
+        assert np.array_equal(g.view(np.uint64), u00.view(np.uint64))
+        assert np.array_equal(e.view(np.uint64), u10.view(np.uint64))
+
     def test_crossing_solves_norm_equation(self):
         rng = np.random.default_rng(5)
         h = ps.effective_hamiltonian(PI_PULSE, 0.05)
