@@ -192,8 +192,8 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _CAPACITY, _CHOICE, _SCALE = _scaling_table()
-# each capacity's (degree index, squarings, scale, block coefficients), for one slice
 _ROWS = [_COEFFICIENTS[i:i + 1, :i + 1].copy() for i in range(len(_DEGREES))]
+# each capacity's (degree index, squarings, scale, block coefficients), for one slice
 _CHOICES = [(i, s, scale, _ROWS[i]) for i, s, scale in zip(*_CHOICE.tolist(), _SCALE.tolist())]
 
 
