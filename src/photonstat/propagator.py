@@ -35,9 +35,9 @@ matrix (:func:`_dense`).
 
 The kernel's work arrays (padded power rows, one Toeplitz matrix, the Taylor
 terms and two products) are views of one float64 buffer per thread, laid out
-once per request shape together with the strided views that read them (the
-Toeplitz window over the power row that the Horner steps and squarings reuse,
-so a Toeplitz matrix is one copy; :func:`_dense` expands through it too). The
+once per request shape together with the Toeplitz window over the power row
+that the Horner steps and squarings reuse, so a Toeplitz matrix is one copy
+(:func:`_window`; :func:`_dense` expands through a window of its own). The
 buffer grows to exactly the largest request the thread has made and is never
 released, and a growth drops the cached layouts, so repeated stacked calls
 write to pages that stay mapped instead of taking fresh ones from the
@@ -192,27 +192,31 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _CAPACITY, _CHOICE, _SCALE = _scaling_table()
-_ROWS = [_COEFFICIENTS[i:i + 1, :i + 1].copy() for i in range(len(_DEGREES))]
-# each capacity's (degree index, squarings, scale, block coefficients), for one slice
-_CHOICES = [(i, s, scale, _ROWS[i]) for i, s, scale in zip(*_CHOICE.tolist(), _SCALE.tolist())]
+
+
+def _window(rows: np.ndarray, k: int) -> np.ndarray:
+    """The view of shape ``(n, k+1, 4, 4(k+1))`` whose block row p is columns
+    ``4(k-p) .. 4(2k-p)+3`` of the rows ``rows`` (shape ``(n, 4, 4(2k+1))``,
+    C-contiguous); copied into a C-contiguous array of its size it is the
+    Toeplitz matrix: with ``rows = [0 ... 0, F_0, ..., F_k]`` block (p, m) is
+    F_(m-p), and with ``rows = [F_k, ..., F_0, 0 ... 0]`` block (i, j) is F_(i-j)."""
+    s0, s1, s2 = rows.strides
+    return np.ndarray((len(rows), k + 1, 4, 4 * k + 4), rows.dtype, rows, 4 * k * s2,
+                      (s0, -4 * s2, s1, s2))
 
 
 class _Work(threading.local):
     """This thread's float64 work buffer, grown to exactly the largest request
-    and never released, and the kernel's views laid out in it per request shape."""
+    and never released, and the kernel's work arrays laid out in it per request shape."""
 
     def __init__(self):
         self.buffer = np.empty(0)
         self.layout = lru_cache(maxsize=256)(self._lay_out)
 
-    def _lay_out(self, n: int, k: int, blocks: int) -> tuple:
-        """The views of :func:`_block_expm` for ``n`` slices at level k with ``blocks``
-        Taylor blocks: padded power rows P, the Toeplitz window over P[1], a Toeplitz
-        matrix in the window's shape and its own, P's columns from 4k on, P slices
-        first, Taylor terms in full and trimmed to the columns from 4k on, and two
-        products. Block row p of the window is columns ``4(k-p) .. 4(2k-p)+3`` of P[1]:
-        with ``P[1] = [0 ... 0, F_0, ..., F_k]`` its block (i, j) is F_(j-i), with
-        ``[F_k, ..., F_0, 0 ... 0]`` F_(i-j)."""
+    def _lay_out(self, n: int, k: int, blocks: int) -> tuple[np.ndarray, ...]:
+        """The work arrays of :func:`_block_expm` for ``n`` slices at level k with
+        ``blocks`` Taylor blocks: padded power rows P, the :func:`_window` over
+        P[1], a Toeplitz matrix, the Taylor terms and two products."""
         w, m = 8 * k + 4, 4 * k + 4
         shapes = (_POWERS, n, 4, w), (n, m, m), (n, blocks, 4 * w), (2, n, 4, m)
         ends = list(accumulate(map(math.prod, shapes), initial=0))
@@ -221,11 +225,7 @@ class _Work(threading.local):
             self.layout.cache_clear()  # views of the old buffer would keep it alive
         P, step, terms, H = (self.buffer[a:b].reshape(shape)
                              for a, b, shape in zip(ends, ends[1:], shapes))
-        _, s0, s1, s2 = P.strides
-        window = np.ndarray((n, k + 1, 4, m), P.dtype, P[1], 4 * k * s2, (s0, -4 * s2, s1, s2))
-        return (P, window, step.reshape(window.shape), step, P[..., 4 * k:],
-                P.reshape(_POWERS, n, -1).transpose(1, 0, 2), terms,
-                terms.reshape(n, blocks, 4, w)[..., 4 * k:], H)
+        return P, _window(P[1], k), step, terms, H
 
 
 _WORK = _Work()
@@ -241,12 +241,12 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
 
     A polynomial in the generator is kept as the row ``[F_0 ... F_k]`` of its first
     block column; a product with another is that row times the other's Toeplitz
-    matrix (:class:`_Work`). Each slice picks its Taylor degree and scaling from its
-    own 1-norm ``max col-sum(|D| + |J|) dt``, |J| summed over the feed's bands. A
-    slice of lower degree has zero coefficients in the higher blocks and one of
-    fewer squarings is masked out of the later ones, so every slice comes out bit
-    for bit as alone; a one-slice call reads its choice as Python scalars. The work
-    arrays are views of this thread's buffer; the returned column is a fresh array.
+    matrix, one copy of the cached :func:`_window`. Each slice picks its Taylor
+    degree and scaling from its own 1-norm ``max col-sum(|D| + |J|) dt``, |J|
+    summed over the feed's bands. A slice of lower degree has zero coefficients in
+    the higher blocks and one of fewer squarings is masked out of the later ones,
+    so every slice comes out bit for bit as alone. The work arrays are views of
+    this thread's buffer; the returned column is a fresh array.
     """
     D = diag.reshape(-1, 4, 4)
     n = len(D)
@@ -257,14 +257,10 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
         a += np.abs(band)
     a = a[:, :2] + a[:, 2:]
     pick = _CAPACITY.searchsorted((a[:, 0] + a[:, 1]).max(-1) * dt)
-    if n == 1:
-        degree, most, scale, coefficients = _CHOICES[pick[0]]
-        blocks, fewest, scale = degree + 1, most, dt * scale
-    else:
-        degree, squarings = _CHOICE[:, pick]
-        blocks, fewest, most = int(degree.max()) + 1, squarings.min(), int(squarings.max())
-        scale, coefficients = (dt * _SCALE[pick])[:, None, None], _COEFFICIENTS[degree, :blocks]
-    P, window, steps, step, live, powers, terms, trimmed, H = _WORK.layout(n, k, blocks)
+    degree, squarings = _CHOICE.take(pick, 1)
+    blocks, fewest, most = int(degree.max()) + 1, int(squarings.min()), int(squarings.max())
+    P, window, step, terms, H = _WORK.layout(n, k, blocks)
+    live, steps = P[..., 4 * k:], step.reshape(window.shape)
     # padded rows [0 ... 0, Y_0, ..., Y_k] of Y = I, X, X^2, X^3 for the
     # scaled generator X = (D + J eps) dt 2^-s
     P[:2] = 0.0
@@ -273,19 +269,21 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     live[1, :, :, :4] = D
     for j, band in enumerate(bands[:k]):  # bands beyond level k are dropped
         live[1, :, :, 4 * j + 4:4 * j + 8] = band
-    P[1] *= scale
+    P[1] *= (dt * _SCALE.take(pick))[:, None, None]
     steps[...] = window
     for j in range(2, _POWERS):
         np.matmul(live[j - 1], step, out=live[j])
-    np.matmul(coefficients, powers, out=terms)
+    np.matmul(_COEFFICIENTS[degree, :blocks], P.reshape(_POWERS, n, -1).transpose(1, 0, 2),
+              out=terms)
+    terms = terms.reshape(n, blocks, 4, -1)[..., 4 * k:]
     # Horner in X^4 over the blocks, into the columns E of the row P[1] from 4k on
-    E, out = live[1], trimmed[:, -1]
+    E, out = live[1], terms[:, -1]
     if blocks > 1:
         np.matmul(live[-1], step, out=E)
         steps[...] = window
         for b in range(blocks - 2, -1, -1):
             out = np.matmul(out, step, out=H[b % 2])
-            out += trimmed[:, b]
+            out += terms[:, b]
     E[...] = out
     for j in range(most):
         steps[...] = window
@@ -303,11 +301,10 @@ def _dense(column: np.ndarray) -> np.ndarray:
     ``column`` (shape ``(..., k+1, 4, 4)``): block (i, j) is ``F_(i-j)``."""
     k = column.shape[-3] - 1
     F = column.reshape(-1, k + 1, 4, 4)
-    P, window, *_ = _WORK.layout(len(F), k, 1)
-    rev = P[1]  # the row [F_k, ..., F_0, 0 ... 0]
-    rev[:, :, 4 * k + 4:] = 0.0
+    rev = np.zeros((len(F), 4, 8 * k + 4))  # the row [F_k, ..., F_0, 0 ... 0]
     rev[:, :, :4 * k + 4].reshape(len(F), 4, k + 1, 4)[:] = F[:, ::-1].swapaxes(1, 2)
     dense = np.empty(column.shape[:-3] + (4 * k + 4, 4 * k + 4))
+    window = _window(rev, k)
     dense.reshape(window.shape)[...] = window
     return dense
 
