@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import photonstat as ps
-from photonstat import cli, counting
+from photonstat import cli, counting, trajectories
 from photonstat.cli import RunConfig, main
 from photonstat.errors import ConfigError
 
@@ -375,6 +375,75 @@ class TestPresetPins:
         out = tmp_path / f"{preset}.csv"
         assert main(["sweep", "--preset", preset, "--threads", threads, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_SHA256[preset]
+
+
+GRADED_TAIL = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (1e-12, 30.0, 2e-3)),
+                           ps.SingleLine(delta=2.0))
+
+
+def work_per_cutoff(kernel_calls):
+    """``{k: (kernel calls, slices)}`` of the recorded kernel calls."""
+    work = {}
+    for stack, k, _ in kernel_calls:
+        calls, slices = work.get(k, (0, 0))
+        work[k] = calls + 1, slices + len(stack)
+    return work
+
+
+class TestWorkCounts:
+    """The work of each preset and of a few single runs, counted without a
+    timer: hierarchy-kernel calls and slices per cutoff k, and the trajectory
+    sampler's jump rounds and crossing iterations. A change that alters the
+    work on purpose updates these counts and says why in CHANGES.md; a count
+    that moves without a stated reason is a regression."""
+
+    @pytest.mark.parametrize("args, work", [
+        (["sweep", "--preset", "fig2"],
+         {4: (101, 4861), 6: (125, 3635), 8: (68, 1888), 10: (42, 912), 12: (22, 307)}),
+        (["sweep", "--preset", "fig3"], {4: (5, 124), 6: (2, 18)}),
+        (["sweep", "--preset", "fig4"], {4: (14, 252), 6: (4, 118)}),
+        (["sweep", "--preset", "fig5"],
+         {1: (120, 108572), 4: (39, 1209), 6: (71, 1050), 8: (38, 128)}),
+        (["simulate", "--T", "0.1", "--N", "49.35", "--method", "all"], {4: (2, 2)}),
+    ], ids=["fig2", "fig3", "fig4", "fig5", "simulate"])
+    def test_kernel_work_of_a_command(self, tmp_path, kernel_calls, args, work):
+        assert main([*args, "--threads", "1", "--out", str(tmp_path / "out.csv")]) == 0
+        assert work_per_cutoff(kernel_calls) == work
+
+    @pytest.mark.parametrize("method, work", [
+        ("moment-inversion", {4: (15, 374), 6: (15, 374)}),
+        ("jump-counting", {4: (15, 374)}),
+    ])
+    def test_kernel_work_of_the_graded_tail(self, kernel_calls, method, work):
+        ps.photon_statistics(GRADED_TAIL, method=method)
+        assert work_per_cutoff(kernel_calls) == work
+
+    def test_trajectory_rounds_and_crossing_iterations(self, tmp_path, monkeypatch):
+        # an iteration evaluates the piece propagator once; the ground-state
+        # table that a crossing may build first is one evaluation more
+        piece, counts = trajectories._Piece, {"evaluations": 0, "rounds": 0, "iterations": 0}
+        crossing = piece.crossing
+
+        def evaluating(method):
+            def counted(self, s):
+                counts["evaluations"] += 1
+                return method(self, s)
+            return counted
+
+        def counted_crossing(self, *args):
+            counts["rounds"] += 1
+            before, tabled = counts["evaluations"], "ground_table" in vars(self)
+            out = crossing(self, *args)
+            built = "ground_table" in vars(self) and not tabled
+            counts["iterations"] += counts["evaluations"] - before - built
+            return out
+
+        for name in ("column", "matrix"):
+            monkeypatch.setattr(piece, name, evaluating(getattr(piece, name)))
+        monkeypatch.setattr(piece, "crossing", counted_crossing)
+        assert main(["traj", "--T", "0.1", "--N", "49.35", "--threads", "1",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert (counts["rounds"], counts["iterations"]) == (60, 106)
 
 
 class TestTraj:

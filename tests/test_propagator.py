@@ -344,6 +344,31 @@ class TestSampledIntegrator:
         ps.photon_statistics(spec, method="jump-counting", k=4)
         assert [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)] == [17, 34, 68, 136]
 
+    @pytest.mark.parametrize("method, schedule, sha256", [
+        ("moment-inversion", [1, 2, 1, 2, 12, 24, 48, 9, 18, 36, 72, 144],
+         "abb0d2c6d93c98bd1c5bf1fbec8f8c4ae90c568a1e7a88672f7907c20106127f"),
+        ("jump-counting", [1, 2, 1, 2, 11, 22, 44, 9, 18, 36, 72, 144],
+         "bd815b3c10830c606b0b5cc76d867961b54d574a331f36d819f879748d2fa084"),
+    ])
+    def test_retry_past_a_doubling_keeps_its_passes(self, monkeypatch, method, schedule, sha256):
+        # one-step first passes fail their checks by far more than 2^6, so a
+        # retry jumps past doubling the step count (1 -> 12 or 11 steps)
+        spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (1e-12, 30.0, 2e-3)),
+                            ps.SingleLine(delta=2.0))
+        steps = []
+
+        def recording(spec, base, k, passes):
+            steps.extend(passes)
+            return _magnus_steps(spec, base, k, passes)
+
+        monkeypatch.setattr(propagator, "_FIRST_STEPS", 0.01)
+        monkeypatch.setattr(propagator, "_magnus_steps", recording)
+        stats = ps.photon_statistics(spec, method=method, k=4)
+        assert [n for _, _, n in steps] == schedule
+        onset = [n for t0, t1, n in steps if (t0, t1) == (0.0, 0.5)]
+        assert onset[2] != 2 * onset[1]
+        assert hashlib.sha256(stats.probabilities.tobytes()).hexdigest() == sha256
+
     def test_negative_part_rejected_before_any_work(self, kernel_calls):
         # the second part goes negative: no part of the envelope is integrated
         spec = ps.DriveSpec(ps.SampledPulse((0.0, 0.5, 1.0), (0.0, 5.0, -3.0)))
