@@ -408,12 +408,6 @@ def _chain(steps, y: np.ndarray, n: int) -> np.ndarray:
     return reduce(lambda y, step: step @ y, islice(steps, n), y)
 
 
-def _magnus(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float, t1: float,
-            n: int) -> np.ndarray:
-    """``y`` advanced by one pass of ``n`` steps of :func:`_magnus_steps` over [t0, t1]."""
-    return _chain(_magnus_steps(spec, base, len(y) // 4 - 1, [(t0, t1, n)]), y, n)
-
-
 def _first_count(spec: DriveSpec, base: np.ndarray, t0: float, t1: float, tol: float) -> int:
     """Steps of the first coarse pass on [t0, t1] (:func:`_integrate_part`); checks the flux."""
     _, drive, _ = real_parts(spec.topology)
@@ -429,11 +423,12 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
 
     Sixth-order Magnus passes verified by a halved-step Richardson check; on
     failure the step count jumps to the resolution predicted by sixth-order
-    convergence before re-checking, one pass at a time (:func:`_magnus`). The
-    scheme is exact for a constant generator, and its error grows as h^6 times
-    the square of the change V of the graded generator across the part, so
-    the first check compares ``n = _FIRST_STEPS * V**(1/3) * tol**(-1/6)``
-    (:func:`_first_count`) with ``2 n`` steps, which ``steps`` yields next.
+    convergence before re-checking, with the new passes of each check formed as
+    one stack of :func:`_magnus_steps`, as the first check's are. The scheme is
+    exact for a constant generator, and its error grows as h^6 times the square
+    of the change V of the graded generator across the part, so the first check
+    compares ``n = _FIRST_STEPS * V**(1/3) * tol**(-1/6)`` (:func:`_first_count`)
+    with ``2 n`` steps, which ``steps`` yields next.
     ``base`` and ``y`` (shape ``(4(k+1), m)``) are in r; V and the check are
     measured on the column-stacked components.
     """
@@ -446,9 +441,11 @@ def _integrate_part(spec: DriveSpec, base: np.ndarray, y: np.ndarray, t0: float,
         # square-root envelope onsets converge slower and re-boost
         boost = max(2.0, min(64.0, (err / tol) ** (1 / 6)))
         n, doubled = int(np.ceil(n * boost)), 2 * n
-        # a boost of exactly 2 makes the fine pass the next coarse one
-        coarse = fine if n == doubled else _magnus(spec, base, y, t0, t1, n)
-        steps = _magnus_steps(spec, base, len(y) // 4 - 1, [(t0, t1, 2 * n)])
+        # a boost of exactly 2 makes the fine pass the next coarse one, which
+        # is then not formed again
+        passes = [(t0, t1, m) for m in (n, 2 * n) if m != doubled]
+        steps = _magnus_steps(spec, base, len(y) // 4 - 1, passes)
+        coarse = fine if n == doubled else _chain(steps, y, n)
     raise ConvergenceError(
         f"part [{t0}, {t1}] did not converge to {tol} under step halving")
 

@@ -26,7 +26,6 @@ from photonstat.propagator import (
     _TO_R,
     _block_expm,
     _dense,
-    _magnus,
     _magnus_steps,
     _real,
     advance,
@@ -183,6 +182,11 @@ RAMP = ps.DriveSpec(ps.SampledPulse((0.0, 0.05, 0.15, 0.2), (0.0, 60.0, 60.0, 0.
                     t_end=1.0)
 
 
+def one_pass(spec, base, y, t0, t1, n):
+    """``y`` advanced by one pass of ``n`` steps of ``_magnus_steps`` over [t0, t1]."""
+    return propagator._chain(_magnus_steps(spec, base, len(y) // 4 - 1, [(t0, t1, n)]), y, n)
+
+
 def block_hierarchy(diag, feed, k):
     """Dense generator of hierarchy levels 0..k, built independently of the package."""
     return np.kron(np.eye(k + 1), diag) + np.kron(np.eye(k + 1, k=-1), feed)
@@ -219,13 +223,13 @@ class TestSampledIntegrator:
     def test_magnus_is_sixth_order_on_the_onset(self):
         # the onset [0, 0.05] has a square-root amplitude in t; in the graded
         # variable halving the step still divides the difference by ~64
-        # _magnus works in the real coordinates r of the propagator
+        # a pass works in the real coordinates r of the propagator
         static, _, njump = real_parts(RAMP.topology)
         k = 3
         level0 = np.zeros(4 * (k + 1))
         level0[0] = 1.0
         for base, y in ((static, np.eye(4)), (static - njump, level0)):
-            runs = [_magnus(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
+            runs = [one_pass(RAMP, base, y, 0.0, 0.05, n) for n in (8, 16, 32)]
             coarse = np.max(np.abs(runs[1] - runs[0]))
             fine = np.max(np.abs(runs[2] - runs[1]))
             assert coarse / fine >= 48
@@ -277,14 +281,14 @@ class TestSampledIntegrator:
             omega = a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
             for i in range(4, k + 1):
                 assert not omega[4 * i:4 * i + 4, :4 * (i - 3)].any()
-            got = _magnus(RAMP, base, y, 0.0, 0.05, 1)
+            got = one_pass(RAMP, base, y, 0.0, 0.05, 1)
             assert np.max(np.abs(got - expm(omega) @ y)) < 1e-12
             assert np.max(np.abs(exponents[-1] - omega)) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
     def test_pass_hands_the_kernel_one_slice_per_step(self, n, kernel_calls):
         static, _, _ = real_parts(RAMP.topology)
-        _magnus(RAMP, static, np.eye(4), 0.0, 0.05, n)
+        one_pass(RAMP, static, np.eye(4), 0.0, 0.05, n)
         assert sum(len(stack) for stack, _, _ in kernel_calls) == n
         assert len(kernel_calls) == -(-n // propagator._STACK_STEPS)
 
@@ -326,7 +330,7 @@ class TestSampledIntegrator:
             steps = _magnus_steps(spec, base, k, passes)
             for t0, t1, n in passes:
                 assert np.array_equal(propagator._chain(steps, y, n),
-                                      _magnus(spec, base, y, t0, t1, n))
+                                      one_pass(spec, base, y, t0, t1, n))
             assert next(steps, None) is None
 
     def test_graded_tail_keeps_its_pass_schedule(self, monkeypatch):
