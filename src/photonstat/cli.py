@@ -315,6 +315,8 @@ def _parse_grid(text: str) -> list[float]:
         if parts[3:] not in ([], ["log"]) or count < 1:
             raise ConfigError(f"grid spec {text!r} is not lo:hi:count[:log] with count >= 1")
         if parts[3:]:
+            if not (lo > 0 and hi > 0):
+                raise ConfigError(f"grid spec {text!r}: lo:hi:count:log needs lo > 0 and hi > 0")
             return list(np.logspace(math.log10(lo), math.log10(hi), count))
         return list(np.linspace(lo, hi, count))
     return [float(v) for v in text.split(",")]

@@ -622,6 +622,13 @@ class TestGridFlagParsing:
         assert rc == 2
         assert "t_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["0:1:3:log", "0.1:-1:3:log", "nan:1:3:log"])
+    def test_log_spec_with_a_non_positive_end_exits_2(self, capsys, spec):
+        rc = main(["sweep", "--preset", "custom", "--T-grid", spec, "--N-grid", "1,2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: t_grid: grid spec {spec!r}: lo:hi:count:log needs lo > 0 and hi > 0\n")
+
     def test_empty_grid_named_by_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"preset": "custom", "t_grid": [], "n_grid": [1.0]}))
