@@ -124,13 +124,11 @@ class TestLongPulse:
         omega2 = 4.0 * drive_coefficient(topology) * flux
         rate = monitored * omega2 / (gamma ** 2 + 2.0 * omega2)
         q = -6.0 * monitored * gamma * omega2 / (gamma ** 2 + 2.0 * omega2) ** 2
-        n1, variance = [], []
+        points = []
         for T in self.WIDTHS:
-            n_1, n_2 = ps.binomial_moments(ps.DriveSpec(ps.SquarePulse(T=T, N=flux * T),
-                                                        topology), 2)
-            n1.append(n_1)
-            variance.append(2.0 * n_2 - n_1 * n_1)
-        (t1, t2), (a1, a2) = self.WIDTHS, n1
+            n1, n2 = ps.binomial_moments(ps.DriveSpec(ps.SquarePulse(T=T, N=flux * T),
+                                                      topology), 2)
+            points.append((T, n1, 2.0 * n2 - n1 * n1))
+        (t1, a1, v1), (t2, a2, v2) = points
         assert abs(at_zero(1 / t1, a1 / (rate * t1), 1 / t2, a2 / (rate * t2)) - 1.0) <= 1e-5
-        extrapolated = at_zero(1 / a1, variance[0] / a1, 1 / a2, variance[1] / a2)
-        assert abs(extrapolated / q - 1.0) <= 1e-5
+        assert abs(at_zero(1 / a1, v1 / a1, 1 / a2, v2 / a2) / q - 1.0) <= 1e-5
