@@ -314,9 +314,11 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if parts[3:] not in ([], ["log"]) or count < 1:
             raise ConfigError(f"grid spec {text!r} is not lo:hi:count[:log] with count >= 1")
+        if parts[3:] and not (lo > 0 and hi > 0):
+            raise ConfigError(f"grid spec {text!r}: lo:hi:count:log needs lo > 0 and hi > 0")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"grid spec {text!r}: lo:hi:count needs finite lo and hi")
         if parts[3:]:
-            if not (lo > 0 and hi > 0):
-                raise ConfigError(f"grid spec {text!r}: lo:hi:count:log needs lo > 0 and hi > 0")
             return list(np.logspace(math.log10(lo), math.log10(hi), count))
         return list(np.linspace(lo, hi, count))
     return [float(v) for v in text.split(",")]

@@ -56,7 +56,7 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .errors import ConvergenceError, SpecError
+from .errors import ConvergenceError, NumericalError, SpecError
 from .liouville import (
     _DECAY,
     _DRIVE,
@@ -178,7 +178,7 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     product, one Toeplitz copy and one copy back. Counting a squaring as
     1.5 steps, degree index i with s squarings costs ``2 i + 3 s``, and the
     entry picked for a norm is the cheapest whose capacity ``theta_m 2^s``
-    covers it. Larger norms and NaN take the last entry.
+    covers it. :func:`_block_expm` refuses larger norms and NaN.
     """
     options = sorted((2 * i + 3 * s, -theta * 2.0 ** s, i, s)
                      for i, theta in enumerate(_THETA) for s in range(64))
@@ -186,7 +186,6 @@ def _scaling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for _, capacity, i, s in options:
         if not table or -capacity > table[-1][0]:
             table.append((-capacity, i, s))
-    table += [(math.inf, i, s), (math.nan, i, s)]
     capacity, degree, squarings = (np.array(col) for col in zip(*table))
     return capacity, np.array([degree, squarings]), np.ldexp(1.0, -squarings)
 
@@ -256,7 +255,12 @@ def _block_expm(diag: np.ndarray, feed: np.ndarray, k: int, dt) -> np.ndarray:
     for band in bands:
         a += np.abs(band)
     a = a[:, :2] + a[:, 2:]
-    pick = _CAPACITY.searchsorted((a[:, 0] + a[:, 1]).max(-1) * dt)
+    norms = (a[:, 0] + a[:, 1]).max(-1) * dt
+    if not norms.max(initial=0.0) <= _CAPACITY[-1]:  # NaN, or past the last squaring
+        raise NumericalError(f"hierarchy exponential out of range: scaled 1-norm "
+                             f"{norms.max():.3e} is NaN or exceeds {_CAPACITY[-1]:.3e}; "
+                             "the drive is too strong or too long")
+    pick = _CAPACITY.searchsorted(norms)
     degree, squarings = _CHOICE.take(pick, 1)
     blocks, fewest, most = int(degree.max()) + 1, int(squarings.min()), int(squarings.max())
     P, window, step, terms, H = _WORK.layout(n, k, blocks)
@@ -319,8 +323,8 @@ def _linear_part(spec: DriveSpec, t0: float, t1: float) -> tuple[float, float, i
     length = t1 - t0
     flux = spec.pulse.flux
     mid = flux(t0 + 0.5 * length)
-    # the flux is linear across a part, so the one-sided edge values follow
-    # exactly from two interior samples
+    # the flux is linear across a part, so two interior samples give its one-sided
+    # edge values: the knot values up to rounding, not bit for bit
     slope = (flux(t0 + 0.75 * length) - mid) / (0.25 * length)
     fa, fb = mid - 0.5 * slope * length, mid + 0.5 * slope * length
     if min(fa, fb) < -1e-9 * (abs(mid) + 1.0):

@@ -78,39 +78,35 @@ def _golden_max(lo: float, hi: float, rel_tol: float, values: dict) -> float | l
     value); ties keep the left subinterval.
 
     Returns the maximizer when ``values`` holds every probe the walk reads, else the
-    probes it misses, each once: those of the next ``_LOOKAHEAD`` steps under every
-    outcome of their comparisons, and the final pair of every branch that stops. Fed
-    back, they let the walk run on as it would one probe at a time.
+    probes it misses, each once. The walk steps while both interior probes of its
+    state are known; the request then covers the state it waits at and the states
+    of the next ``_LOOKAHEAD`` levels under every outcome of their comparisons (one
+    level more on the first request, where both interior probes are new): the
+    interior probes of an open state, only the final pair of a state that stops.
+    Fed back, they let the walk run on as it would one probe at a time.
     """
     # the step and the stopping test are written out: as calls they took ~1/5 of the walk
-
-    def missing(states, depth, out):  # ``out`` and the probes of ``depth`` steps from ``states``
-        for d in range(depth + 1):
-            states, grown = [], states
-            for lo, hi, x1, x2 in grown:
-                if not hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
-                    out += [lo, 0.5 * (lo + hi)]
-                elif d < depth:  # keep [lo, x2] with a new x1, or [x1, hi] with a new x2
-                    states += [(lo, x2, x2 - _INV_PHI * (x2 - lo), x1),
-                               (x1, hi, x2, x1 + _INV_PHI * (hi - x1))]
-                    out += [states[-2][2], states[-1][3]]
-        return [x for x in dict.fromkeys(out) if x not in values]
-
     x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    if x1 not in values or x2 not in values:
-        return missing([(lo, hi, x1, x2)], _LOOKAHEAD, [x1, x2])
-    while hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
-        left = values[x1] >= values[x2]
-        step = (lo, x2, x2 - _INV_PHI * (x2 - lo), x1) if left else (
-            x1, hi, x2, x1 + _INV_PHI * (hi - x1))
-        if step[2 if left else 3] not in values:
-            return missing([step], _LOOKAHEAD - 1, [step[2 if left else 3]])
-        lo, hi, x1, x2 = step
+    while (is_open := hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12)) and (
+            x1 in values and x2 in values):
+        lo, hi, x1, x2 = ((lo, x2, x2 - _INV_PHI * (x2 - lo), x1) if values[x1] >= values[x2]
+                          else (x1, hi, x2, x1 + _INV_PHI * (hi - x1)))
     mid = 0.5 * (lo + hi)
-    if lo not in values or mid not in values:
-        return missing([(lo, hi, x1, x2)], 0, [])
-    # prefer the left edge when the surface is flat to 1e-9
-    return lo if values[lo] + 1e-9 >= values[mid] else mid
+    if not is_open and lo in values and mid in values:
+        # prefer the left edge when the surface is flat to 1e-9
+        return lo if values[lo] + 1e-9 >= values[mid] else mid
+    out, states = [], [(lo, hi, x1, x2)]
+    for levels in range(_LOOKAHEAD + 1 - (x1 in values or x2 in values), 0, -1):
+        grown, states = states, []
+        for lo, hi, x1, x2 in grown:
+            if not hi - lo > rel_tol * max(abs(0.5 * (lo + hi)), 1e-12):
+                out += [lo, 0.5 * (lo + hi)]
+                continue
+            out += [x1, x2]
+            if levels > 1:  # keep [lo, x2] with a new x1, or [x1, hi] with a new x2
+                states += [(lo, x2, x2 - _INV_PHI * (x2 - lo), x1),
+                           (x1, hi, x2, x1 + _INV_PHI * (hi - x1))]
+    return [x for x in dict.fromkeys(out) if x not in values]
 
 
 @dataclass(frozen=True)

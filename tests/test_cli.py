@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -93,6 +94,16 @@ class TestSimulate:
         assert rc == 3
         err = capsys.readouterr().err
         assert "N_1 = 5.176" in err and "cutoff cap k = 16" in err
+
+    def test_beyond_the_kernel_range_exits_3_without_a_warning(self, capsys):
+        # past 2^63 times the top Taylor degree's norm the squarings would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--T", "1e20", "--N", "1", "--method", "moments"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: hierarchy exponential out of range: scaled 1-norm 2.500e+20 "
+            "is NaN or exceeds 1.220e+19; the drive is too strong or too long\n")
 
     def test_all_methods_side_by_side(self, tmp_path):
         out = tmp_path / "all.csv"
@@ -403,7 +414,7 @@ class TestWorkCounts:
         (["sweep", "--preset", "fig3"], {4: (5, 124), 6: (2, 18)}),
         (["sweep", "--preset", "fig4"], {4: (14, 252), 6: (4, 118)}),
         (["sweep", "--preset", "fig5"],
-         {1: (120, 108572), 4: (39, 1209), 6: (71, 1050), 8: (38, 128)}),
+         {1: (120, 106101), 4: (39, 1209), 6: (71, 1050), 8: (38, 128)}),
         (["simulate", "--T", "0.1", "--N", "49.35", "--method", "all"], {4: (2, 2)}),
     ], ids=["fig2", "fig3", "fig4", "fig5", "simulate"])
     def test_kernel_work_of_a_command(self, tmp_path, kernel_calls, args, work):
@@ -628,6 +639,14 @@ class TestGridFlagParsing:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: t_grid: grid spec {spec!r}: lo:hi:count:log needs lo > 0 and hi > 0\n")
+
+    @pytest.mark.parametrize("spec", ["0.1:inf:3", "nan:1:3", "1:inf:3:log"])
+    def test_range_spec_with_a_non_finite_end_exits_2(self, capsys, spec):
+        # named before numpy spaces the grid, which would warn and pass on a NaN width
+        rc = main(["sweep", "--preset", "custom", "--T-grid", spec, "--N-grid", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: t_grid: grid spec {spec!r}: lo:hi:count needs finite lo and hi\n")
 
     def test_empty_grid_named_by_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -33,6 +33,12 @@ class TestGoldenMax:
         x = golden_max(lambda v: np.minimum(v, 4.0), 0.0, 10.0, 1e-6)
         assert x <= 4.0 + 1e-3
 
+    def test_step_onto_a_stopped_state_asks_only_for_its_final_pair(self):
+        # x2 wins, so the walk keeps [x1, 1]: its width 1/phi is below rel_tol times
+        # its midpoint, and only the midpoint beside the known x1 is ever compared
+        x1, x2 = 1.0 - sweeps._INV_PHI, sweeps._INV_PHI
+        assert _golden_max(0.0, 1.0, 1.0, {x1: 0.0, x2: 1.0}) == [0.5 * (x1 + 1.0)]
+
 
 class TestPiPulseNumber:
     def test_single_line(self):
