@@ -242,7 +242,7 @@ def cmd_simulate(config: RunConfig) -> list[tuple[str, list]]:
     if config.method in ("moments", "all"):
         stats_m = photon_statistics(spec, "moment-inversion", k=config.k, rho0=rho0)
     if config.method in ("counting", "all"):
-        stats_c = (verify_dual(spec, stats_m, rho0) if stats_m is not None
+        stats_c = (verify_dual([spec], [stats_m], rho0)[0] if stats_m is not None
                    else photon_statistics(spec, "jump-counting", k=config.k, rho0=rho0))
     if config.method in ("trajectories", "all"):
         hist = _run_trajectories(config, spec)

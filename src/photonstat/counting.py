@@ -77,7 +77,8 @@ __all__ = [
 TAIL_TOLERANCE = 1e-8
 MAX_CUTOFF = 16
 START_CUTOFF = 4
-# Clamping band for roundoff-negative probabilities.
+# Clamping band for roundoff-negative probabilities; also the roundoff allowed
+# in a mean count above its bound (see photon_statistics).
 NEGATIVE_TOLERANCE = 1e-9
 # Completeness required of the jump-resolved distribution.
 NORMALIZATION_TOLERANCE = 1e-6
@@ -182,6 +183,16 @@ def _end_traces(ground: np.ndarray, excited: np.ndarray, share, resolved: bool) 
     fed = np.zeros_like(excited)
     fed[..., 1:] = excited[..., :-1]
     return ground + excited + share * (fed - excited if resolved else fed)
+
+
+def _photons_sent(spec: DriveSpec) -> float:
+    """Photons the drive of ``spec`` sends inside its window: ``N`` of a square pulse,
+    the trapezoid area inside ``[0, t_end]`` of a sampled envelope (it ends by t_end)."""
+    if isinstance(spec.pulse, SquarePulse):
+        return spec.pulse.N
+    times = np.maximum(spec.pulse.times, 0.0)
+    flux = np.interp(times, spec.pulse.times, spec.pulse.values)
+    return float(np.sum(0.5 * (flux[1:] + flux[:-1]) * np.diff(times)))
 
 
 def _clamp_moments(vals: np.ndarray) -> np.ndarray:
@@ -344,8 +355,12 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     complete to ``NORMALIZATION_TOLERANCE``; the reported ``tail_bound`` is
     the top moment, respectively the missing probability mass. Reaching
     ``MAX_CUTOFF`` with the criterion unmet raises :class:`TailError`,
-    respectively :class:`CutoffError`. A ``rho0`` other than the default
-    ``|g><g|`` is checked by ``validate_density``.
+    respectively :class:`CutoffError`. Moment inversion raises
+    :class:`NumericalError` for a mean count ``N_1`` above the photons the
+    drive sends inside the window plus the initial excited population, by
+    more than ``NEGATIVE_TOLERANCE`` relative to the larger of 1 and that
+    bound. A ``rho0`` other than the default ``|g><g|`` is checked by
+    ``validate_density``.
     """
     stats = _row_statistics([spec], method, k, rho0)[0]
     if isinstance(stats, NumericalError):
@@ -353,34 +368,43 @@ def photon_statistics(spec: DriveSpec, method: str = "moment-inversion",
     return stats
 
 
-def _row_statistics(specs, method: str = "moment-inversion", k: int | None = None,
+def _row_statistics(specs, method: str = "moment-inversion", k: int | list | None = None,
                    rho0=None) -> list:
     """:func:`photon_statistics` of every spec of a row: square pulses of one
     topology (a sweep row), or one spec of any envelope. Entry i is the
     :class:`PhotonStats` of ``specs[i]`` or the :class:`NumericalError` it
     raised, bit for bit what ``photon_statistics(specs[i], ...)`` gives.
 
-    Each rung of the cutoff ladder is one stacked hierarchy over the pending
-    points, settled as arrays; a rung that no point leaves stops after its
+    Each rung of the cutoff ladder (for ``k`` a list of per-spec cutoffs: their
+    distinct values, each final for its points) is one stacked hierarchy over
+    the pending points at it, settled as arrays; a rung that no point leaves stops after its
     criterion, and Python only builds the result of each point that leaves.
     Moment inversion inverts a point that meets its criterion
     (top moment below ``TAIL_TOLERANCE``, or any at a fixed ``k``), which may
-    then fail the negative-probability check, and raises :class:`TailError`
-    for one short of it at the last rung. Jump counting runs that check at
-    every rung, and raises :class:`CutoffError` for a point missing more
+    then fail the negative-probability check or the mean-count bound (see
+    :func:`photon_statistics`), and raises :class:`TailError` for one short
+    of it at the last rung. Jump counting runs the negative-probability check
+    at every rung, and raises :class:`CutoffError` for a point missing more
     than ``NORMALIZATION_TOLERANCE`` at the last rung.
     """
     if method not in ("moment-inversion", "jump-counting"):
         raise SpecError(f"unknown method {method!r}")
     inverting = method == "moment-inversion"
-    ladder = (k,) if k is not None else tuple(range(START_CUTOFF, MAX_CUTOFF + 1, 2))
+    cutoffs = k if k is None or isinstance(k, list) else [k] * len(specs)
+    for cutoff in cutoffs or ():
+        _check_cutoff(cutoff)
+    ladder = range(START_CUTOFF, MAX_CUTOFF + 1, 2) if k is None else sorted(set(cutoffs))
+    if inverting:  # every monitored photon is an incident photon or the initial excitation
+        excited = 0.0 if rho0 is None else validate_density(rho0)[1, 1].real
+        bound = [_photons_sent(spec) + excited for spec in specs]
     out: list = [None] * len(specs)
     pending = list(range(len(specs)))
     for cutoff in ladder:
-        if not pending:
-            break
-        final = cutoff == ladder[-1]
-        traces = _level_traces([specs[i] for i in pending], cutoff, rho0, resolved=not inverting)
+        rung = pending if k is None else [i for i in pending if cutoffs[i] == cutoff]
+        if not rung:
+            continue
+        final = k is not None or cutoff == ladder[-1]
+        traces = _level_traces([specs[i] for i in rung], cutoff, rho0, resolved=not inverting)
         if inverting:
             # clamping takes no top moment across TAIL_TOLERANCE
             met = traces[:, -1] < TAIL_TOLERANCE if k is None else np.ones(len(traces), bool)
@@ -404,9 +428,15 @@ def _row_statistics(specs, method: str = "moment-inversion", k: int | None = Non
             moments = moments_from_probabilities(probs, cutoff)  # every row: selecting costs more
             tails = np.where(missing > 0.0, missing, 0.0)
         for j in leaving:
-            i = pending[j]
+            i = rung[j]
             if low[j] < -NEGATIVE_TOLERANCE:
                 out[i] = _negative_probability(low[j])
+            elif inverting and met[j] and (moments[j, 0] - bound[i]
+                                           > NEGATIVE_TOLERANCE * max(1.0, bound[i])):
+                out[i] = NumericalError(
+                    f"mean count N_1 = {moments[j, 0]:.10g} exceeds its bound {bound[i]:.10g} "
+                    f"(photons sent plus initial excitation) at T={specs[i].pulse.end:.6g}; "
+                    "the pulse is beyond the accuracy of moment inversion")
             elif met[j]:
                 out[i] = PhotonStats(moments[j], probs[j], cutoff, float(tails[j]), method)
             elif inverting:
@@ -421,16 +451,18 @@ def _row_statistics(specs, method: str = "moment-inversion", k: int | None = Non
     return out
 
 
-def verify_dual(spec: DriveSpec, moments: PhotonStats, rho0=None,
-                where: str = "") -> PhotonStats:
-    """Jump-counting statistics of ``spec`` from ``rho0`` at the cutoff of ``moments``.
+def verify_dual(specs, moments, rho0=None, where=None) -> list:
+    """Jump-counting statistics of the row ``specs`` from ``rho0`` at the cutoffs of
+    their moment-inversion results ``moments``, as one pass of the cutoff ladder.
 
-    Raises :class:`NumericalError`, naming ``where``, unless they agree with
-    the moment-inversion result ``moments`` componentwise to ``DUAL_TOLERANCE``.
-    """
-    counting = photon_statistics(spec, "jump-counting", k=moments.cutoff_k, rho0=rho0)
-    gap = float(np.max(np.abs(moments.probabilities - counting.probabilities)))
-    if gap > DUAL_TOLERANCE:
-        raise NumericalError(f"moment-inversion and jump-counting disagree by {gap:.3e}"
-                             + (f" at {where}" if where else ""))
-    return counting
+    Raises, in point order, each point's counting error or a :class:`NumericalError`
+    naming its entry of ``where`` unless the routes agree componentwise to ``DUAL_TOLERANCE``."""
+    counted = _row_statistics(specs, "jump-counting", [m.cutoff_k for m in moments], rho0)
+    for stats, counting, at in zip(moments, counted, where or [""] * len(specs)):
+        if isinstance(counting, NumericalError):
+            raise counting
+        gap = float(np.max(np.abs(stats.probabilities - counting.probabilities)))
+        if gap > DUAL_TOLERANCE:
+            raise NumericalError(f"moment-inversion and jump-counting disagree by {gap:.3e}"
+                                 + (f" at {at}" if at else ""))
+    return counted

@@ -187,18 +187,17 @@ def _fixed_row(topology: Topology, Ts: list[float], Ns: list[float], k: int | No
     """Records of one row of square pulses (widths ``Ts``, photon numbers
     ``Ns``), in order: the row's statistics are computed together, each point
     bit for bit as if alone, then errors and dual checks (quoting N as
-    ``name``) are met in point order."""
+    ``name``; one :func:`verify_dual` row) are met in point order."""
     specs = [DriveSpec(SquarePulse(T=T, N=N), topology) for T, N in zip(Ts, Ns)]
     a = topology.a if isinstance(topology, TwoLine) else None
-    records = []
-    for spec, T, N, stats, check in zip(specs, Ts, Ns, _row_statistics(specs, k=k), checks):
-        if not isinstance(stats, PhotonStats):
-            raise stats
-        if check:
-            verify_dual(spec, stats, where=("" if a is None else f"a={a:.6g}, ")
-                        + f"T={T:.6g}, {name}={N:.6g}")
-        records.append(SweepRecord(T=T, N=N, a=a, stats=stats))
-    return tuple(records)
+    stats = _row_statistics(specs, k=k)
+    failed = next((i for i, s in enumerate(stats) if not isinstance(s, PhotonStats)), len(specs))
+    checked = [i for i in range(failed) if checks[i]]
+    verify_dual([specs[i] for i in checked], [stats[i] for i in checked], where=[
+        ("" if a is None else f"a={a:.6g}, ") + f"T={Ts[i]:.6g}, {name}={Ns[i]:.6g}" for i in checked])
+    if failed < len(specs):
+        raise stats[failed]
+    return tuple(SweepRecord(T=T, N=N, a=a, stats=s) for T, N, s in zip(Ts, Ns, stats))
 
 
 def _two_line_row(topology: TwoLine, Ts: list[float], k: int | None,

@@ -105,6 +105,26 @@ class TestSimulate:
             "numerical failure: hierarchy exponential out of range: scaled 1-norm 2.500e+20 "
             "is NaN or exceeds 1.220e+19; the drive is too strong or too long\n")
 
+    @pytest.mark.parametrize("T, mean", [("1e9", "1.000000061"), ("1e12", "1.000007629")])
+    def test_mean_count_above_the_photons_sent_exits_3_without_a_warning(self, capsys, T,
+                                                                          mean):
+        # one photon sent into |g>: the moment route's N_1 cannot exceed 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--T", T, "--N", "1", "--method", "moments"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: mean count N_1 = {mean} exceeds its bound 1 (photons sent "
+            f"plus initial excitation) at T={float(T):.6g}; the pulse is beyond the accuracy "
+            "of moment inversion\n")
+
+    def test_long_pulse_inside_its_bound_runs(self, tmp_path):
+        out = tmp_path / "long.csv"
+        assert main(["simulate", "--T", "1e6", "--N", "1", "--method", "moments",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert float(rows[1][header.index("binomial_moment")]) < 1.0
+
     def test_all_methods_side_by_side(self, tmp_path):
         out = tmp_path / "all.csv"
         rc = main(["simulate", "--T", "0.1", "--N", "49.35", "--method", "all",
@@ -380,8 +400,8 @@ PRESET_SHA256 = {
 
 
 class TestPresetPins:
-    @pytest.mark.parametrize("preset, threads", [("fig2", "1"), ("fig3", "1"), ("fig4", "1"),
-                                                 ("fig5", "1"), ("fig5", "2")])
+    @pytest.mark.parametrize("preset, threads", [("fig2", "1"), ("fig2", "2"), ("fig3", "1"),
+                                                 ("fig4", "1"), ("fig5", "1"), ("fig5", "2")])
     def test_preset_csv_is_pinned(self, tmp_path, preset, threads):
         out = tmp_path / f"{preset}.csv"
         assert main(["sweep", "--preset", preset, "--threads", threads, "--out", str(out)]) == 0
@@ -410,11 +430,11 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("args, work", [
         (["sweep", "--preset", "fig2"],
-         {4: (101, 4861), 6: (125, 3635), 8: (68, 1888), 10: (42, 912), 12: (22, 307)}),
-        (["sweep", "--preset", "fig3"], {4: (5, 124), 6: (2, 18)}),
-        (["sweep", "--preset", "fig4"], {4: (14, 252), 6: (4, 118)}),
+         {4: (58, 4861), 6: (59, 3635), 8: (38, 1888), 10: (21, 912), 12: (10, 307)}),
+        (["sweep", "--preset", "fig3"], {4: (2, 124), 6: (2, 18)}),
+        (["sweep", "--preset", "fig4"], {4: (4, 252), 6: (3, 118)}),
         (["sweep", "--preset", "fig5"],
-         {1: (120, 106101), 4: (39, 1209), 6: (71, 1050), 8: (38, 128)}),
+         {1: (120, 106101), 4: (38, 1209), 6: (53, 1050), 8: (38, 128)}),
         (["simulate", "--T", "0.1", "--N", "49.35", "--method", "all"], {4: (2, 2)}),
     ], ids=["fig2", "fig3", "fig4", "fig5", "simulate"])
     def test_kernel_work_of_a_command(self, tmp_path, kernel_calls, args, work):

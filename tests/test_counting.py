@@ -499,7 +499,7 @@ class TestInversionMargin:
         # T and N at the top of the randomized suite's domain; jump counting
         # converges here at k = 12
         spec = ps.DriveSpec(ps.SquarePulse(T=5.0, N=100.0), ps.TwoLine(a=1.0))
-        verify_dual(spec, ps.photon_statistics(spec))
+        verify_dual([spec], [ps.photon_statistics(spec)])
 
     def test_moment_route_beyond_cap_raises_tail_error(self):
         # mean count ~5: the top moment is still 5e-3 at the cap
@@ -596,15 +596,40 @@ def sampled_specs(draw):
 class TestVerifyDual:
     def test_returns_counting_route_at_the_moment_cutoff(self):
         moments = ps.photon_statistics(PI_PULSE, k=6)
-        counting = verify_dual(PI_PULSE, moments)
+        (counting,) = verify_dual([PI_PULSE], [moments])
         expected = ps.photon_statistics(PI_PULSE, method="jump-counting", k=6)
         assert counting.method == "jump-counting" and counting.cutoff_k == 6
         assert np.array_equal(counting.probabilities, expected.probabilities)
 
     def test_passes_the_initial_state_on(self):
         moments = ps.photon_statistics(UNDRIVEN_EXCITED, rho0=ps.EXCITED)
-        counting = verify_dual(UNDRIVEN_EXCITED, moments, rho0=ps.EXCITED)
+        (counting,) = verify_dual([UNDRIVEN_EXCITED], [moments], rho0=ps.EXCITED)
         assert counting.probabilities[1] == pytest.approx(0.5, abs=1e-6)
+
+    def test_mixed_cutoff_row_is_one_call_per_cutoff(self, kernel_calls):
+        # at T = 5 these settle at k = 12, 4, 10, 8, 12, 10, 12 by moment inversion
+        specs = [ps.DriveSpec(ps.SquarePulse(T=5.0, N=N))
+                 for N in (40.0, 0.0, 10.0, 5.0, 60.0, 20.0, 80.0)]
+        moments = [ps.photon_statistics(spec) for spec in specs]
+        cutoffs = [m.cutoff_k for m in moments]
+        kernel_calls.clear()
+        counted = verify_dual(specs, moments)
+        assert [k for _, k, _ in kernel_calls] == sorted(set(cutoffs)) == [4, 8, 10, 12]
+        assert [len(stack) for stack, k, _ in kernel_calls] == [cutoffs.count(k)
+                                                                for _, k, _ in kernel_calls]
+        assert_same_entries(counted, [ps.photon_statistics(spec, "jump-counting", k=k)
+                                      for spec, k in zip(specs, cutoffs)])
+
+    def test_empty_row_makes_no_kernel_call(self, kernel_calls):
+        assert verify_dual([], []) == []
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("bad", [0, 5.5, True, None])
+    def test_bad_cutoff_in_a_list_rejected_before_any_work(self, kernel_calls, bad):
+        specs = [PI_PULSE] * 3
+        with pytest.raises(SpecError, match=rf"cutoff k must be an integer >= 1, got k={bad!r}"):
+            counting._row_statistics(specs, "jump-counting", [4, 6, bad])
+        assert kernel_calls == []
 
 
 class TestSampledEnvelopes:
@@ -704,6 +729,30 @@ def _settle(levels: np.ndarray, method: str, cutoff: int, final: bool,
                        tail_bound=float(max(0.0, 1.0 - probs.sum())), method=method)
 
 
+def _check_mean_count(stats: PhotonStats, spec, rho0) -> None:
+    """The mean-count bound of the moment route, added with it to the settle:
+    N_1 at most the photons sent inside the window plus the initial excited
+    population, to NEGATIVE_TOLERANCE relative to max(1, bound)."""
+    pulse = spec.pulse
+    if isinstance(pulse, ps.SquarePulse):
+        sent = pulse.N
+    else:  # the envelope's trapezoids, each cut at t = 0
+        sent = 0.0
+        knots = list(zip(pulse.times, pulse.values))
+        for (t0, f0), (t1, f1) in zip(knots, knots[1:]):
+            if t1 <= 0.0:
+                continue
+            if t0 < 0.0:
+                t0, f0 = 0.0, f0 + (f1 - f0) * (0.0 - t0) / (t1 - t0)
+            sent += 0.5 * (f0 + f1) * (t1 - t0)
+    bound = sent + (0.0 if rho0 is None else float(np.real(rho0[1][1])))
+    if stats.moments[0] - bound > NEGATIVE_TOLERANCE * max(1.0, bound):
+        raise NumericalError(
+            f"mean count N_1 = {stats.moments[0]:.10g} exceeds its bound {bound:.10g} "
+            f"(photons sent plus initial excitation) at T={pulse.end:.6g}; "
+            "the pulse is beyond the accuracy of moment inversion")
+
+
 def reference_row_statistics(specs, method="moment-inversion", k=None, rho0=None) -> list:
     ladder = (k,) if k is not None else tuple(range(START_CUTOFF, MAX_CUTOFF + 1, 2))
     out: list = [None] * len(specs)
@@ -717,6 +766,8 @@ def reference_row_statistics(specs, method="moment-inversion", k=None, rho0=None
             try:
                 out[i] = _settle(levels, method, cutoff, final=cutoff == ladder[-1],
                                  fixed=k is not None)
+                if method == "moment-inversion" and out[i] is not None:
+                    _check_mean_count(out[i], specs[i], rho0)
             except NumericalError as exc:
                 out[i] = exc
         pending = [i for i in pending if out[i] is None]
@@ -799,6 +850,38 @@ class TestArraySettle:
             kinds = {type(s) for s in want}
             assert {PhotonStats, NumericalError,
                     TailError if method == METHODS[0] else CutoffError} <= kinds
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("synthetic", [False, True], ids=["mixed-row", "synthetic"])
+    def test_per_point_cutoffs_equal_each_point_alone(self, monkeypatch, method, synthetic):
+        if synthetic:
+            monkeypatch.setattr(counting, "_level_traces", synthetic_traces)
+            specs = [ps.DriveSpec(ps.SquarePulse(T=1.0, N=float(n))) for n in range(72)]
+        else:
+            specs = mixed_row(ps.TwoLine(a=1.0))
+        cutoffs = [3 + (5 * i) % 14 for i in range(len(specs))]  # 3..16, interleaved
+        want = [reference_row_statistics([spec], method, k)[0]
+                for spec, k in zip(specs, cutoffs)]
+        assert_same_entries(counting._row_statistics(specs, method, cutoffs), want)
+
+    def test_mean_count_bound_in_point_order(self):
+        # one photon sent into |g>: N_1 = 1 - 6/T at T = 1e6 but above 1 at
+        # T = 1e9 and 1e12; T = 10, N = 120 fails its inversion
+        specs = [ps.DriveSpec(ps.SquarePulse(T=T, N=N))
+                 for T, N in [(1e6, 1.0), (1e9, 1.0), (10.0, 120.0), (1e12, 1.0)]]
+        got = counting._row_statistics(specs)
+        assert_same_entries(got, reference_row_statistics(specs))
+        assert [type(g) for g in got] == [PhotonStats] + [NumericalError] * 3
+        assert [str(g).startswith("mean count N_1") for g in got[1:]] == [True, False, True]
+
+    @pytest.mark.parametrize("times, values, sent", [
+        ((-1.0, 1.0, 2.0), (2.0, 4.0, 0.0), 5.5),  # cut at t = 0, where the flux is 3
+        ((0.5, 1.5), (2.0, 2.0), 2.0),  # steps on at t = 0.5
+        ((-2.0, -1.0), (3.0, 3.0), 0.0),  # ends before the window
+    ])
+    def test_photons_sent_by_a_sampled_envelope(self, times, values, sent):
+        spec = ps.DriveSpec(ps.SampledPulse(times, values))
+        assert counting._photons_sent(spec) == sent
 
     def test_counting_distribution_is_the_fixed_cutoff_row_of_one(self, monkeypatch):
         def outcome(call, *args):

@@ -247,7 +247,7 @@ class TestSampledIntegrator:
 
         monkeypatch.setattr(propagator, "_magnus_steps", recording)
         moments = ps.photon_statistics(spec)
-        verify_dual(spec, moments)
+        verify_dual([spec], [moments])
         tail_steps = [n for t0, t1, n in steps if (t0, t1) == (0.5, 1.0)]
         assert tail_steps and max(tail_steps) < 1000
 

@@ -282,13 +282,15 @@ def assert_same_stats(got, want):
 
 def assert_one_call_per_rung(calls, topology, records, checks):
     """The kernel calls of one sweep row: one stacked call per cutoff rung over
-    the row's points not yet settled, then one call per dual-checked point.
-    Every slice is its own pulse's generator, over its own width."""
+    the row's points not yet settled, then one jump-counting call per distinct
+    cutoff of the dual-checked points, in ascending order, over the checked
+    points at it. Every slice is its own pulse's generator, over its own width."""
     top = max(rec.stats.cutoff_k for rec in records)
     expected = [(k, [rec for rec in records if rec.stats.cutoff_k >= k], False)
                 for k in range(counting.START_CUTOFF, top + 1, 2)]
-    expected += [(rec.stats.cutoff_k, [rec], True) for rec, check in zip(records, checks)
-                 if check]
+    checked = [rec for rec, check in zip(records, checks) if check]
+    expected += [(k, [rec for rec in checked if rec.stats.cutoff_k == k], True)
+                 for k in sorted({rec.stats.cutoff_k for rec in checked})]
     assert len(calls) == len(expected)
     static, drive, jump = propagator.real_parts(topology)
     for (diag, k, widths), (cutoff, recs, resolved) in zip(calls, expected):
@@ -358,13 +360,16 @@ class TestSweepRows:
         assert (sum(len(diag) for diag, _, _ in kernel_calls)
                 == sum(len(diag) for calls in alone for diag, _, _ in calls))
 
-    def test_one_pulse_exponential_call_per_rung(self, kernel_calls):
-        n_grid = np.linspace(0.0, 120.0, 24)
+    @pytest.mark.parametrize("points, checked_cutoffs", [(24, 1), (120, 2)])
+    def test_one_pulse_exponential_call_per_rung(self, kernel_calls, points, checked_cutoffs):
+        n_grid = np.linspace(0.0, 120.0, points)
+        checks = sweeps._check_mask(len(n_grid))
         result = ps.sweep_single_line(T_grid=[2.0], N_grid=n_grid)
-        assert_one_call_per_rung(kernel_calls, ps.SingleLine(), result.records,
-                                 sweeps._check_mask(len(n_grid)))
-        assert len(kernel_calls[0][0]) == 24
+        assert_one_call_per_rung(kernel_calls, ps.SingleLine(), result.records, checks)
+        assert len(kernel_calls[0][0]) == points
         assert all(isinstance(rec.stats.cutoff_k, int) for rec in result.records)
+        assert len({rec.stats.cutoff_k for rec, check in zip(result.records, checks)
+                    if check}) == checked_cutoffs
 
     def test_row_statistics_one_call_per_rung(self, kernel_calls):
         # the fig5 worker finds every width's maximizer (k = 1 calls), then
@@ -400,6 +405,20 @@ class TestSweepRows:
             ps.sweep_single_line(T_grid=[10.0], N_grid=n_grid)
         assert type(row.value) is type(alone.value)
         assert str(row.value) == str(alone.value)
+
+    @pytest.mark.parametrize("Ns, checks, message", [
+        ([50.0, 120.0], [True, False], r"disagree by .* at T=10, N=50$"),
+        ([120.0, 50.0], [False, True], r"^probability -.* below -1e-09"),
+        ([1.0, 50.0], [False, True], r"^mean count N_1 = 1\.000000061 exceeds its bound 1 "),
+        ([50.0, 1.0], [True, False], r"disagree by .* at T=10, N=50$"),
+    ], ids=["check-first", "error-first", "bound-first", "check-before-bound"])
+    def test_first_failing_point_or_check_raises_in_point_order(self, monkeypatch, Ns, checks,
+                                                                message):
+        # at T = 10, N = 120 fails its inversion; at T = 1e9, N = 1 exceeds its bound
+        Ts = [1e9 if N == 1.0 else 10.0 for N in Ns]
+        monkeypatch.setattr(counting, "DUAL_TOLERANCE", -1.0)
+        with pytest.raises(NumericalError, match=message):
+            sweeps._fixed_row(ps.SingleLine(), Ts, Ns, None, checks)
 
 
 
