@@ -77,6 +77,9 @@ __all__ = [
 TAIL_TOLERANCE = 1e-8
 MAX_CUTOFF = 16
 START_CUTOFF = 4
+# Largest explicit cutoff: at k = 256 a 120-point sweep row's kernel work
+# buffer (propagator._Work) is about 1.1 GB.
+MAX_EXPLICIT_CUTOFF = 256
 # Clamping band for roundoff-negative probabilities; also the roundoff allowed
 # in a mean count above its bound (see photon_statistics).
 NEGATIVE_TOLERANCE = 1e-9
@@ -117,6 +120,8 @@ class PhotonStats:
 
 def _check_cutoff(k) -> None:
     check_integer(k, "k", 1, "cutoff k")
+    if k > MAX_EXPLICIT_CUTOFF:
+        raise SpecError(f"cutoff k must be at most {MAX_EXPLICIT_CUTOFF}, got k={k!r}")
 
 
 def _level_traces(specs, k: int, rho0, resolved: bool) -> np.ndarray:

@@ -8,19 +8,19 @@ last reset, so a jump happens where the norm falls to a uniform threshold
 Daley, Adv. Phys. 63, 77 (2014)).
 
 The sampler is event driven. The counting window splits into pieces on
-which ``H_eff`` is constant: the constant-flux intervals of
-:func:`photonstat.liouville.drive_intervals`, and on its linear-flux parts
-steps of at most ``_MAX_STEP`` with the envelope frozen at each step
-midpoint (a first-order scheme). On a piece the state moves by
-the closed-form exponential of the 2x2 generator, so work is done only per
-piece and per jump. Each round moves every trajectory still inside the
-piece, vectorized, either to the piece end or, where its norm would fall
-below its threshold first, to the crossing: found by safeguarded Newton
-iteration on ``dn/ds = -R |e(s)|^2`` inside a bisection bracket, and in
-closed form where the piece is undriven. There the jump is attributed to a
-channel in proportion to the channel weights, the state resets to the
-ground state, a fresh threshold is drawn, and the next round continues from
-the jump.
+which ``H_eff`` is constant: each constant-flux interval of
+:func:`photonstat.liouville.drive_intervals` whole, and its linear-flux
+parts in steps of at most ``_MAX_STEP`` with the envelope frozen at each
+step midpoint (a first-order scheme). On a piece the state moves by the
+closed-form exponential of the 2x2 generator, whose terms never grow, so
+work grows with jumps, not with window or pulse length. Each round moves
+every trajectory still inside the piece, vectorized, either to the piece
+end or, where its norm would fall below its threshold first, to the
+crossing: found by safeguarded Newton iteration on ``dn/ds = -R |e(s)|^2``
+inside a bisection bracket, and in closed form where the piece is undriven.
+There the jump is attributed to a channel in proportion to the channel
+weights, the state resets to the ground state, a fresh threshold is drawn,
+and the next round continues from the jump.
 
 Every emission resets the emitter to ``|g>``, so the crossings of rows that
 start there (every row after a jump, and on a square pulse every row of the
@@ -62,10 +62,8 @@ __all__ = ["TrajectoryResult", "sample_trajectories", "sample_trajectory_range"]
 
 # Step of the midpoint-frozen scheme for sampled envelopes.
 _MAX_STEP = 0.005
-# Longest piece, in decay constants 1/R: the closed form's cos(q s) grows
-# like exp(R s / 4), which stays far from overflow.
-_MAX_PIECE_DECAYS = 100.0
-# Crossing times are converged to this fraction of the piece length.
+# Crossing times are converged to this fraction of the piece length, capped at
+# 100 decay constants 1/R, or until their bracket closes to adjacent floats.
 _CROSSING_TOL = 1e-13
 _CROSSING_ITERS = 100
 # Points of a piece's reset-state norm table, which seeds the crossings of
@@ -127,9 +125,14 @@ class _Streams:
 
     def next(self, rows: np.ndarray) -> np.ndarray:
         """Advance the streams ``rows`` by one draw and return it, in [0, 1)."""
-        count = self.count[rows] + np.uint64(1)
-        self.count[rows] = count
-        return (_mix(self.base[rows] + count * _GAMMA) >> np.uint64(11)) * 2.0 ** -53
+        return self.draws(rows, 1)[0]
+
+    def draws(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Advance the streams ``rows`` by ``n`` draws and return them, one row per draw."""
+        count = self.count[rows]
+        self.count[rows] = count + np.uint64(n)
+        j = count + np.arange(1, n + 1, dtype=np.uint64)[:, None]
+        return (_mix(self.base[rows] + j * _GAMMA) >> np.uint64(11)) * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,11 @@ class _Piece:
         self.a00 = heff[0, 0] - self.mu
         self.a01 = heff[0, 1]
         self.a10 = heff[1, 0]
-        self.q = cmath.sqrt(self.a00 * self.a00 + self.a01 * self.a10)
+        # +-q are the eigenvalues of H_eff - mu, signed so that Im q <= 0
+        self.q = -1j * cmath.sqrt(-self.a00 * self.a00 - self.a01 * self.a10)
+        # the slower eigenvalue mu - q as det(H_eff) / (mu + q): no cancellation where it is small
+        det = heff[0, 0] * heff[1, 1] - self.a01 * self.a10
+        self.slow = det / (self.mu + self.q) if self.q else self.mu
         self.full = tuple(u[0] for u in self.matrix(np.array([length])))
 
     @cached_property
@@ -167,22 +174,23 @@ class _Piece:
         return norm[::-1], s[::-1]
 
     def _waves(self, s: np.ndarray):
-        """sin(q s) / q, cos(q s) and exp(-i mu s); +-q are the eigenvalues of H_eff - mu."""
-        qs = self.q * s
-        # sin(q s) / q, which tends to s at the exceptional point q = 0
-        f = np.sin(qs) / self.q if self.q != 0 else s.astype(complex)
-        return f, np.cos(qs), np.exp(-1j * self.mu * s)
+        """exp(-i mu s) (sin(q s) / q, cos(q s)) as (-w z / (2 i q), w (1 + z / 2)), or
+        (w s, w) at q = 0, from w = exp(-i (mu - q) s) and z = expm1(-2 i q s), which never grow."""
+        w = np.exp(-1j * self.slow * s)
+        if self.q == 0:
+            return w * s, w
+        wz = w * np.expm1(-2j * self.q * s)
+        return wz * (0.5j / self.q), w + 0.5 * wz
 
     def matrix(self, s: np.ndarray):
         """Entries u00, u01, u10, u11 of exp(-i H_eff s)."""
-        f, c, ph = self._waves(s)
-        return (ph * (c - 1j * f * self.a00), ph * (-1j * f * self.a01),
-                ph * (-1j * f * self.a10), ph * (c + 1j * f * self.a00))
+        f, c = self._waves(s)
+        return c - 1j * f * self.a00, -1j * f * self.a01, -1j * f * self.a10, c + 1j * f * self.a00
 
     def column(self, s: np.ndarray):
         """Entries u00, u10 of :meth:`matrix`: the state U(s)|g>."""
-        f, c, ph = self._waves(s)
-        return ph * (c - 1j * f * self.a00), ph * (-1j * f * self.a10)
+        f, c = self._waves(s)
+        return c - 1j * f * self.a00, -1j * f * self.a10
 
     def crossing(self, span: np.ndarray, g: np.ndarray, e: np.ndarray,
                  thr: np.ndarray, n_end: np.ndarray) -> np.ndarray:
@@ -200,7 +208,7 @@ class _Piece:
             e2 = e.real * e.real + e.imag * e.imag
             arg = (thr - (g.real * g.real + g.imag * g.imag)) / e2
             return np.minimum(-np.log(arg) / self.rate, span)
-        tol = _CROSSING_TOL * self.length
+        tol = _CROSSING_TOL * min(self.length, 100.0 / self.rate)
         out = np.empty_like(span)
         act = np.arange(len(span))
         lo, hi = np.zeros_like(span), span
@@ -228,7 +236,7 @@ class _Piece:
                 converged = np.abs(step) <= tol
                 inside = (newton > lo) & (newton < hi)
                 s = np.where(converged | inside, newton, 0.5 * (lo + hi))
-                done = converged | (hi - lo <= tol)
+                done = converged | (hi - lo <= np.maximum(tol, np.spacing(hi)))
                 if not done.any():
                     continue
                 out[act[done]] = s[done]
@@ -253,10 +261,10 @@ class _Piece:
         span = np.full(len(rows), self.length)
         while len(rows):
             span = span - self.crossing(span, g0, e0, thr[rows], n_end)
-            monitored = streams.next(rows) < mon_frac
+            channel, thr[rows] = streams.draws(rows, 2)
+            monitored = channel < mon_frac
             mon[rows] += monitored
             oth[rows] += ~monitored
-            thr[rows] = streams.next(rows)
             if not self.driven:
                 # an undriven ground state neither evolves nor jumps again
                 g[rows], e[rows] = 1.0, 0.0
@@ -276,15 +284,11 @@ def _pieces(spec: DriveSpec) -> list[_Piece]:
     rate = total_decay_rate(spec.topology)
     pieces = []
     for t0, t1, amp in drive_intervals(spec):
-        # a constant-flux interval is one piece unless it is very long
-        step = _MAX_PIECE_DECAYS / rate if amp is not None else _MAX_STEP
-        n = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
+        # a constant-flux interval is one piece, a linear one steps of _MAX_STEP
+        n = 1 if amp is not None else max(1, int(np.ceil((t1 - t0) / _MAX_STEP - 1e-12)))
         h = (t1 - t0) / n
-        for i in range(n):
-            # envelope frozen at the step midpoint
-            mid = t0 + (i + 0.5) * h
-            pieces.append(_Piece(effective_hamiltonian(spec, mid), h, rate,
-                                 driven=drive_amplitude(spec, mid) > 0.0))
+        pieces += [_Piece(effective_hamiltonian(spec, t), h, rate, drive_amplitude(spec, t) > 0.0)
+                   for t in t0 + (np.arange(n) + 0.5) * h]
     return pieces
 
 

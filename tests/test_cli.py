@@ -82,6 +82,13 @@ class TestSimulate:
         assert rc == 3
         assert "insufficient" in capsys.readouterr().err
 
+    def test_cutoff_above_the_bound_exits_2(self, capsys):
+        # without the bound this run asks numpy for 1.16 TiB
+        rc = main(["simulate", "--T", "0.1", "--N", "5", "--k", "100000", "--method", "moments"])
+        assert rc == 2
+        bound = counting.MAX_EXPLICIT_CUTOFF
+        assert capsys.readouterr().err == f"error: cutoff k must be at most {bound}, got k=100000\n"
+
     def test_route_disagreement_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(counting, "DUAL_TOLERANCE", -1.0)
         rc = main(["simulate", "--T", "0.1", "--N", "49.35", "--method", "all",
@@ -474,7 +481,7 @@ class TestWorkCounts:
         monkeypatch.setattr(piece, "crossing", counted_crossing)
         assert main(["traj", "--T", "0.1", "--N", "49.35", "--threads", "1",
                      "--out", str(tmp_path / "out.csv")]) == 0
-        assert (counts["rounds"], counts["iterations"]) == (60, 106)
+        assert (counts["rounds"], counts["iterations"]) == (60, 117)
 
 
 class TestTraj:

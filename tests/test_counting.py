@@ -219,7 +219,7 @@ class TestInversionArithmetic:
 
 
 class TestCutoffType:
-    @pytest.mark.parametrize("call", [
+    CALLS = pytest.mark.parametrize("call", [
         lambda k: ps.photon_statistics(PI_PULSE, k=k),
         lambda k: ps.photon_statistics(PI_PULSE, method="jump-counting", k=k),
         lambda k: ps.binomial_moments(PI_PULSE, k),
@@ -229,10 +229,20 @@ class TestCutoffType:
         lambda k: ps.sweep_two_line_slices([0.5], T=0.1, points=3, k=k),
     ], ids=["moments", "counting", "binomial_moments", "counting_distribution",
             "maximize_p1", "sweep_single_line", "sweep_two_line_slices"])
+
+    @CALLS
     @pytest.mark.parametrize("k", [2.5, 6.0, True, 0, -2])
     def test_cutoff_must_be_a_positive_integer(self, call, k):
         with pytest.raises(SpecError, match=rf"cutoff k must be an integer >= 1, got k={k!r}"):
             call(k)
+
+    @CALLS
+    def test_cutoff_above_the_bound_rejected_before_any_work(self, kernel_calls, call):
+        bound = counting.MAX_EXPLICIT_CUTOFF
+        counting._check_cutoff(bound)
+        with pytest.raises(SpecError, match=rf"^cutoff k must be at most {bound}, got k={bound + 1}$"):
+            call(bound + 1)
+        assert kernel_calls == []
 
     def test_numpy_integer_accepted(self):
         stats = ps.photon_statistics(PI_PULSE, k=np.int64(6))
